@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import Target
+from .core import GradientState, Target, init
 from .integrator import (
     IntegratorState,
     Metric,
@@ -26,6 +26,7 @@ from .integrator import (
     kinetic_energy,
     leapfrog,
     sample_momentum,
+    total_energy,
 )
 from .mcmc import hmc, nuts
 from .rng import RngKey, fold_in, split_key
@@ -196,7 +197,7 @@ def build_schedule(num_warmup: int) -> WindowSchedule:
 def find_reasonable_step_size(
     key: RngKey,
     target: Target,
-    state,
+    state: GradientState,
     metric: Metric,
     initial: float = 1.0,
 ) -> float:
@@ -210,20 +211,12 @@ def find_reasonable_step_size(
     if initial <= 0.0:
         raise ValueError("initial step size must be strictly positive")
     momentum = sample_momentum(key, metric)
-    start = IntegratorState(
-        np.asarray(state.position, dtype=float),
-        momentum,
-        float(state.logdensity),
-        np.asarray(state.gradient, dtype=float),
-    )
+    start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
     energy_start = -start.logdensity + kinetic_energy(momentum, metric)
 
     def acceptance(step: float) -> float:
-        end = leapfrog(start, step, metric, target)
-        if not math.isfinite(end.logdensity):
-            return 0.0
-        energy_end = -end.logdensity + kinetic_energy(end.momentum, metric)
-        if not math.isfinite(energy_end):
+        energy_end = total_energy(leapfrog(start, step, metric, target), metric)
+        if energy_end == math.inf:
             return 0.0
         return math.exp(min(energy_start - energy_end, 700.0))
 
@@ -242,7 +235,7 @@ def find_reasonable_step_size(
 class WindowAdaptationResult(NamedTuple):
     step_size: float
     metric: Metric
-    state: object
+    state: GradientState
 
 
 def window_adaptation(
@@ -256,7 +249,7 @@ def window_adaptation(
     initial_step_size: float = 1.0,
     num_integration_steps: int = 10,
     max_depth: int = nuts.DEFAULT_MAX_DEPTH,
-    divergence_threshold: float = 1000.0,
+    divergence_threshold: float = hmc.DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> WindowAdaptationResult:
     """Run staged warmup and return the tuned step size, metric, and state.
 
@@ -271,28 +264,22 @@ def window_adaptation(
     if kernel_family not in ("nuts", "hmc"):
         raise ValueError("kernel family must be 'nuts' or 'hmc'")
 
-    def make_stepper(metric: Metric):
+    def transition(key: RngKey, state: GradientState, step_size: float, metric: Metric):
         if kernel_family == "nuts":
-            def stepper(k, s, step):
-                kern = nuts.build_kernel(step, metric, max_depth, divergence_threshold)
-                return kern(k, s, target)
+            kernel = nuts.build_kernel(step_size, metric, max_depth, divergence_threshold)
         else:
-            def stepper(k, s, step):
-                kern = hmc.build_kernel(
-                    step, num_integration_steps, metric, divergence_threshold
-                )
-                return kern(k, s, target)
-        return stepper
+            kernel = hmc.build_kernel(
+                step_size, num_integration_steps, metric, divergence_threshold
+            )
+        return kernel(key, state, target)
 
-    initializer = nuts.init if kernel_family == "nuts" else hmc.init
-    state = initializer(np.asarray(initial_position, dtype=float), target)
+    state = init(initial_position, target)
     metric = identity_metric(target.dim)
     key_search, key_run = split_key(key, 2)
     step_size = find_reasonable_step_size(
         fold_in(key_search, 0), target, state, metric, initial_step_size
     )
     da = da_init(step_size)
-    stepper = make_stepper(metric)
     schedule = build_schedule(num_warmup)
     iteration = 0
     boundary = 0
@@ -301,14 +288,15 @@ def window_adaptation(
         if kind == "slow":
             welford = welford_init(target.dim, mass)
         for _ in range(length):
-            state, info = stepper(fold_in(key_run, iteration), state, math.exp(da.log_step))
+            state, info = transition(
+                fold_in(key_run, iteration), state, math.exp(da.log_step), metric
+            )
             iteration += 1
             da = da_update(da, info.p_accept, target_accept)
             if kind == "slow":
                 welford = welford_update(welford, state.position)
         if kind == "slow":
             metric = welford_finalize(welford, regularize=True)
-            stepper = make_stepper(metric)
             boundary += 1
             step_size = find_reasonable_step_size(
                 fold_in(key_search, boundary), target, state, metric, math.exp(da.log_step)

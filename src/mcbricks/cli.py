@@ -42,6 +42,7 @@ from .smc.resampling import RESAMPLING_METHODS, DegenerateWeightsError
 from .targets import (
     MCMC_TARGET_NAMES,
     SMC_TARGET_NAMES,
+    TARGETS,
     conjugate_gaussian_log_evidence,
     make_builtin,
     make_tempered,
@@ -53,14 +54,6 @@ __all__ = ["main", "ConfigError"]
 
 ALGORITHMS = ("rwm", "mala", "hmc", "ghmc", "nuts")
 MUTATIONS = ("rwm", "mala", "hmc")
-DEFAULT_DIMS = {
-    "std_normal": 1,
-    "aniso_gauss": 2,
-    "banana": 2,
-    "funnel": 2,
-    "logistic_synth": 5,
-    "gauss_conjugate": 1,
-}
 # Execution details that do not affect the statistical output; they are
 # left out of the summary's config echo so byte-level comparisons work
 # across worker counts and output locations.
@@ -205,18 +198,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _require_seed(args: argparse.Namespace) -> int:
+def _root_keys(args: argparse.Namespace) -> list[RngKey]:
+    """``make_key(--seed)`` split into (data key, run key)."""
     if args.seed is None:
         raise ConfigError("--seed is required (no wall-clock default)")
-    return int(args.seed)
+    return split_key(make_key(int(args.seed)), 2)
 
 
 def _resolve_target_dim(args: argparse.Namespace, default_target: str) -> tuple[str, int]:
-    name = args.target if args.target is not None else default_target
-    dim = args.dim if args.dim is not None else DEFAULT_DIMS[name]
-    if dim < 1:
-        raise ConfigError("--dim must be at least 1")
-    return name, dim
+    spec = TARGETS[args.target if args.target is not None else default_target]
+    dim = args.dim if args.dim is not None else spec.default_dim
+    try:
+        spec.check_dim(dim)
+    except ValueError as exc:
+        raise ConfigError(f"--dim {dim}: {exc}") from exc
+    return spec.name, dim
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
@@ -259,13 +255,12 @@ def _json_ready(value):
     return value
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(_json_ready(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _summary_payload(args, stack, infos, started: float, extras: Optional[dict] = None) -> dict:
+def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] = None) -> Path:
+    """Write samples.csv and summary.json into ``--output-dir``; return it."""
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_samples_csv(out_dir / "samples.csv", chains)
+    stack = np.stack(chains)
     summary = summarize(stack, infos)
     per_dim = [
         [summary.mean[d], summary.std[d], summary.ess[d], summary.rhat[d]]
@@ -281,7 +276,10 @@ def _summary_payload(args, stack, infos, started: float, extras: Optional[dict] 
     }
     if extras:
         payload.update(extras)
-    return payload
+    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(_json_ready(payload), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return out_dir
 
 
 def _make_mcmc_algorithm(args, target, key_warmup) -> tuple[SamplingAlgorithm, object]:
@@ -346,7 +344,7 @@ def _run_one_chain(args, target, chain_key: RngKey) -> tuple[np.ndarray, list]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+    key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "std_normal")
     for count_name in ("num_warmup", "num_samples", "num_chains"):
         if getattr(args, count_name) < 1 and count_name != "num_warmup":
@@ -358,8 +356,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.chain_workers < 1:
         raise ConfigError("--chain-workers must be positive")
     started = time.perf_counter()
-    root = make_key(seed)
-    key_data, key_run = split_key(root, 2)
     builtin = make_builtin(name, dim, data_key=key_data)
     target = builtin.target
     chain_keys = [fold_in(key_run, c) for c in range(args.num_chains)]
@@ -372,12 +368,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         results = [_run_one_chain(args, target, key) for key in chain_keys]
     chains = [positions for positions, _ in results]
     infos = [info for _, chain_infos in results for info in chain_infos]
-    stack = np.stack(chains)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out_dir / "samples.csv", chains)
-    payload = _summary_payload(args, stack, infos, started)
-    _write_summary(out_dir / "summary.json", payload)
+    _write_outputs(args, chains, infos, started)
     return 0
 
 
@@ -393,15 +384,13 @@ def _smc_mutation_factory(args):
 
 
 def _cmd_run_smc(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+    key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "gauss_conjugate")
     if args.num_particles < 2:
         raise ConfigError("--num-particles must be at least 2")
     if args.num_mutation_steps < 0:
         raise ConfigError("--num-mutation-steps must be non-negative")
     started = time.perf_counter()
-    root = make_key(seed)
-    key_data, key_run = split_key(root, 2)
     tempered, details = make_tempered(name, dim, key_data)
 
     def prior_sampler(key: RngKey, count: int) -> np.ndarray:
@@ -418,32 +407,23 @@ def _cmd_run_smc(args: argparse.Namespace) -> int:
         target_ess_ratio=args.target_ess_ratio,
         max_stages=args.max_stages,
     )
-    particles = result.ensemble.particles
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out_dir / "samples.csv", [particles])
-    stack = particles[np.newaxis, :, :]
     extras = {"smc": {"ladder": result.ladder, "log_z": result.log_z}}
     if name == "gauss_conjugate":
         extras["smc"]["analytic_log_evidence"] = conjugate_gaussian_log_evidence(
             details["observations"]
         )
-    payload = _summary_payload(args, stack, None, started, extras)
-    payload["acceptance_mean"] = None
-    _write_summary(out_dir / "summary.json", payload)
+    _write_outputs(args, [result.ensemble.particles], None, started, extras)
     return 0
 
 
 def _cmd_run_vi(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+    key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "std_normal")
     if args.num_steps < 1:
         raise ConfigError("--num-steps must be positive")
     if args.num_draws < 4:
         raise ConfigError("--num-draws must be at least 4 for diagnostics")
     started = time.perf_counter()
-    root = make_key(seed)
-    key_data, key_run = split_key(root, 2)
     builtin = make_builtin(name, dim, data_key=key_data)
     target = builtin.target
     optimizer = adam(args.learning_rate) if args.optimizer == "adam" else sgd(args.learning_rate)
@@ -455,32 +435,20 @@ def _cmd_run_vi(args: argparse.Namespace) -> int:
         )
         elbo_trace[step] = info.elbo
     draws = vi_sample(fold_in(key_run, args.num_steps), state, args.num_draws)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out_dir / "samples.csv", [draws])
+    extras = {"vi": {"final_elbo": float(elbo_trace[-1])}}
+    out_dir = _write_outputs(args, [draws], None, started, extras)
     with open(out_dir / "elbo_trace.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("step,elbo\n")
         for step in range(args.num_steps):
             handle.write(f"{step},{_format_float(elbo_trace[step])}\n")
-    stack = draws[np.newaxis, :, :]
-    extras = {"vi": {"final_elbo": float(elbo_trace[-1])}}
-    payload = _summary_payload(args, stack, None, started, extras)
-    _write_summary(out_dir / "summary.json", payload)
     return 0
 
 
 def _cmd_targets_list(args: argparse.Namespace) -> int:
-    rows = [
-        ("std_normal", "mcmc/vi", "any >= 1 (default 1)", "yes"),
-        ("aniso_gauss", "mcmc/vi", "any >= 1 (default 2)", "yes"),
-        ("banana", "mcmc/vi", "any >= 2 (default 2)", "no"),
-        ("funnel", "mcmc/vi", "any >= 2 (default 2)", "no"),
-        ("logistic_synth", "mcmc/vi/smc", "fixed 5", "no"),
-        ("gauss_conjugate", "smc", "any >= 1 (default 1)", "evidence"),
-    ]
     print(f"{'name':<16}{'commands':<14}{'dimensions':<24}analytic")
-    for name, kind, dims, analytic in rows:
-        print(f"{name:<16}{kind:<14}{dims:<24}{analytic}")
+    # Grouped by the commands that accept a target, in registry order within a group.
+    for spec in sorted(TARGETS.values(), key=lambda spec: spec.commands):
+        print(f"{spec.name:<16}{spec.commands:<14}{spec.dimensions:<24}{spec.analytic}")
     return 0
 
 

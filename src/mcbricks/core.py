@@ -12,6 +12,7 @@ fold and replaying it with the same key reproduces every draw bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -22,7 +23,11 @@ __all__ = [
     "Target",
     "SamplingAlgorithm",
     "ApproxAlgorithm",
+    "GradientState",
+    "AcceptanceInfo",
     "ChainError",
+    "init",
+    "bind",
     "run_chain",
     "gradient_discrepancy",
 ]
@@ -69,6 +74,41 @@ class ApproxAlgorithm(NamedTuple):
     init: Callable[[np.ndarray], Any]
     step: Callable[[RngKey, Any], tuple[Any, Any]]
     sample: Callable[[RngKey, Any, int], np.ndarray]
+
+
+class GradientState(NamedTuple):
+    """Position with its cached log density and gradient."""
+
+    position: np.ndarray
+    logdensity: float
+    gradient: np.ndarray
+
+
+class AcceptanceInfo(NamedTuple):
+    """Outcome of one accept/reject transition; ``energy`` is that of the returned state."""
+
+    p_accept: float
+    accepted: bool
+    is_divergent: bool
+    energy: float
+
+
+def init(position: np.ndarray, target: Target) -> GradientState:
+    """Evaluate the target at ``position`` and cache both results."""
+    position = np.asarray(position, dtype=float)
+    return GradientState(
+        position,
+        float(target.logdensity(position)),
+        np.asarray(target.gradient(position), dtype=float),
+    )
+
+
+def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple]) -> SamplingAlgorithm:
+    """Package ``init(position, target)`` and ``kernel(key, state, target)``."""
+    return SamplingAlgorithm(
+        init=partial(init, target=target),
+        step=lambda key, state: kernel(key, state, target),
+    )
 
 
 class ChainError(RuntimeError):

@@ -14,11 +14,12 @@ mass matrix plus a Cholesky factor of M for momentum sampling.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Target
+from .core import Target, init
 from .rng import RngKey, normal_vector
 
 __all__ = [
@@ -96,14 +97,8 @@ def dense_metric(inverse_mass: np.ndarray) -> Metric:
 
 def integrator_state(target: Target, position: np.ndarray, momentum: np.ndarray) -> IntegratorState:
     """Evaluate the target once and assemble a phase-space state."""
-    position = np.asarray(position, dtype=float)
-    momentum = np.asarray(momentum, dtype=float)
-    return IntegratorState(
-        position,
-        momentum,
-        float(target.logdensity(position)),
-        np.asarray(target.gradient(position), dtype=float),
-    )
+    position, logdensity, gradient = init(position, target)
+    return IntegratorState(position, np.asarray(momentum, dtype=float), logdensity, gradient)
 
 
 def kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
@@ -133,8 +128,14 @@ def velocity(momentum: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 def total_energy(state: IntegratorState, metric: Metric) -> float:
-    """Hamiltonian ``H(q, p) = -logdensity(q) + kinetic(p)``."""
-    return -state.logdensity + kinetic_energy(state.momentum, metric)
+    """Hamiltonian ``H(q, p) = -logdensity(q) + kinetic(p)``.
+
+    Any non-finite energy (a position outside the support, a NaN density,
+    an overflowing or NaN momentum) comes back as ``+inf``, which every
+    acceptance rule treats as a certain rejection.
+    """
+    energy = -state.logdensity + kinetic_energy(state.momentum, metric)
+    return energy if math.isfinite(energy) else math.inf
 
 
 def leapfrog(

@@ -3,7 +3,14 @@
 Each sampler module exposes ``init(position, target, ...)``, a
 ``build_kernel(...)`` constructor returning a pure transition function
 ``kernel(key, state, target)``, and an ``as_algorithm(target, ...)``
-convenience that packages both behind the library-wide init/step protocol.
+convenience that packages both behind the library-wide init/step protocol
+through :func:`mcbricks.core.bind`.
+
+MALA, HMC and NUTS share :class:`mcbricks.core.GradientState` and its
+``init``; RWM (no gradient) and GHMC (persistent momentum and slice) keep
+their own states.  RWM, MALA and GHMC report
+:class:`mcbricks.core.AcceptanceInfo`; HMC and NUTS extend it.  Endpoints
+are scored by :func:`mcbricks.integrator.total_energy`, non-finite as +inf.
 """
 
 from . import ghmc, hmc, mala, nuts, rwm

@@ -10,12 +10,12 @@ persistent flow, and the slice variable itself persists in the state.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..core import SamplingAlgorithm, Target
+from .. import core
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -23,11 +23,12 @@ from ..integrator import (
     kinetic_energy,
     leapfrog,
     sample_momentum,
+    total_energy,
 )
 from ..proposal import SliceVariable, nonreversible_slice_accept, perturb_slice, safe_energy_diff
 from ..rng import RngKey, split_key
 
-__all__ = ["GhmcState", "GhmcInfo", "init", "build_kernel", "as_algorithm"]
+__all__ = ["GhmcState", "init", "build_kernel", "as_algorithm"]
 
 
 class GhmcState(NamedTuple):
@@ -36,13 +37,6 @@ class GhmcState(NamedTuple):
     gradient: np.ndarray
     momentum: np.ndarray
     slice_var: SliceVariable
-
-
-class GhmcInfo(NamedTuple):
-    p_accept: float
-    accepted: bool
-    is_divergent: bool
-    energy: float
 
 
 def init(
@@ -64,11 +58,7 @@ def init(
     if not abs(slice_u) < 1.0:
         raise ValueError("slice variable must lie in (-1, 1)")
     return GhmcState(
-        position,
-        float(target.logdensity(position)),
-        np.asarray(target.gradient(position), dtype=float),
-        np.asarray(momentum, dtype=float),
-        SliceVariable(slice_u),
+        *core.init(position, target), np.asarray(momentum, dtype=float), SliceVariable(slice_u)
     )
 
 
@@ -77,7 +67,7 @@ def build_kernel(
     persistence: float = 0.9,
     metric: Optional[Metric] = None,
     slice_jitter: float = 0.0,
-) -> Callable[[RngKey, GhmcState, Target], tuple[GhmcState, GhmcInfo]]:
+) -> Callable[[RngKey, GhmcState, Target], tuple[GhmcState, AcceptanceInfo]]:
     """One generalized-HMC transition.
 
     ``persistence`` is the momentum autocorrelation a in the partial
@@ -92,7 +82,7 @@ def build_kernel(
         raise ValueError("persistence must lie in [0, 1]")
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
 
-    def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, GhmcInfo]:
+    def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
         key_refresh, key_slice = split_key(key, 2)
         fresh = sample_momentum(key_refresh, kernel_metric)
@@ -100,10 +90,7 @@ def build_kernel(
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         end = leapfrog(start, step_size, kernel_metric, target)
-        if math.isfinite(end.logdensity):
-            energy_end = -end.logdensity + kinetic_energy(end.momentum, kernel_metric)
-        else:
-            energy_end = math.inf
+        energy_end = total_energy(end, kernel_metric)
         log_ratio = safe_energy_diff(energy_start, energy_end)
         p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
         proposed = GhmcState(end.position, end.logdensity, end.gradient, end.momentum, state.slice_var)
@@ -115,7 +102,7 @@ def build_kernel(
             chosen = chosen._replace(momentum=-chosen.momentum)
         new_slice = perturb_slice(key_slice, new_slice, slice_jitter)
         chosen = chosen._replace(slice_var=new_slice)
-        info = GhmcInfo(
+        info = AcceptanceInfo(
             p_accept,
             accepted,
             not math.isfinite(energy_end),
@@ -133,8 +120,4 @@ def as_algorithm(
     metric: Optional[Metric] = None,
     slice_jitter: float = 0.0,
 ) -> SamplingAlgorithm:
-    kernel = build_kernel(step_size, persistence, metric, slice_jitter)
-    return SamplingAlgorithm(
-        init=partial(init, target=target),
-        step=lambda key, state: kernel(key, state, target),
-    )
+    return bind(target, init, build_kernel(step_size, persistence, metric, slice_jitter))

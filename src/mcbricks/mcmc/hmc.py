@@ -3,32 +3,24 @@
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
-from ..core import SamplingAlgorithm, Target
+from ..core import GradientState, SamplingAlgorithm, Target, bind, init
 from ..integrator import (
     IntegratorState,
     Metric,
     identity_metric,
     kinetic_energy,
     sample_momentum,
+    total_energy,
     trajectory,
 )
 from ..proposal import binomial_accept, safe_energy_diff
 from ..rng import RngKey, split_key
 
-__all__ = ["HmcState", "HmcInfo", "init", "build_kernel", "as_algorithm"]
+__all__ = ["HmcInfo", "init", "build_kernel", "as_algorithm"]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1000.0
-
-
-class HmcState(NamedTuple):
-    position: np.ndarray
-    logdensity: float
-    gradient: np.ndarray
 
 
 class HmcInfo(NamedTuple):
@@ -39,21 +31,12 @@ class HmcInfo(NamedTuple):
     num_integration_steps: int
 
 
-def init(position: np.ndarray, target: Target) -> HmcState:
-    position = np.asarray(position, dtype=float)
-    return HmcState(
-        position,
-        float(target.logdensity(position)),
-        np.asarray(target.gradient(position), dtype=float),
-    )
-
-
 def build_kernel(
     step_size: float,
     num_integration_steps: int,
     metric: Optional[Metric] = None,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> Callable[[RngKey, HmcState, Target], tuple[HmcState, HmcInfo]]:
+) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, HmcInfo]]:
     """Momentum resampling, a leapfrog trajectory, then binomial acceptance.
 
     The log acceptance ratio is ``H(start) - H(end)`` on total energies.
@@ -66,21 +49,18 @@ def build_kernel(
     if num_integration_steps < 1:
         raise ValueError("need at least one integration step")
 
-    def kernel(key: RngKey, state: HmcState, target: Target) -> tuple[HmcState, HmcInfo]:
+    def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, HmcInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
         key_momentum, key_accept = split_key(key, 2)
         momentum = sample_momentum(key_momentum, kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         end = trajectory(start, step_size, kernel_metric, target, num_integration_steps)
-        if math.isfinite(end.logdensity):
-            energy_end = -end.logdensity + kinetic_energy(end.momentum, kernel_metric)
-        else:
-            energy_end = math.inf
+        energy_end = total_energy(end, kernel_metric)
         log_ratio = safe_energy_diff(energy_start, energy_end)
         p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
         divergent = not math.isfinite(energy_end) or (energy_end - energy_start) > divergence_threshold
-        proposed = HmcState(end.position, end.logdensity, end.gradient)
+        proposed = GradientState(end.position, end.logdensity, end.gradient)
         if divergent:
             chosen, accepted = state, False
         else:
@@ -104,8 +84,6 @@ def as_algorithm(
     metric: Optional[Metric] = None,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
-    kernel = build_kernel(step_size, num_integration_steps, metric, divergence_threshold)
-    return SamplingAlgorithm(
-        init=partial(init, target=target),
-        step=lambda key, state: kernel(key, state, target),
+    return bind(
+        target, init, build_kernel(step_size, num_integration_steps, metric, divergence_threshold)
     )

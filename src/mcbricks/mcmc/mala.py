@@ -10,40 +10,16 @@ with the constant cancelling between forward and reverse directions.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, NamedTuple
-
 import math
+from typing import Callable
 
 import numpy as np
 
-from ..core import SamplingAlgorithm, Target
+from ..core import AcceptanceInfo, GradientState, SamplingAlgorithm, Target, bind, init
 from ..proposal import asymmetric_log_ratio, binomial_accept
 from ..rng import RngKey, normal_vector, split_key
 
-__all__ = ["MalaState", "MalaInfo", "init", "build_kernel", "as_algorithm"]
-
-
-class MalaState(NamedTuple):
-    position: np.ndarray
-    logdensity: float
-    gradient: np.ndarray
-
-
-class MalaInfo(NamedTuple):
-    p_accept: float
-    accepted: bool
-    is_divergent: bool
-    energy: float
-
-
-def init(position: np.ndarray, target: Target) -> MalaState:
-    position = np.asarray(position, dtype=float)
-    return MalaState(
-        position,
-        float(target.logdensity(position)),
-        np.asarray(target.gradient(position), dtype=float),
-    )
+__all__ = ["init", "build_kernel", "as_algorithm"]
 
 
 def _log_transition(to: np.ndarray, frm: np.ndarray, gradient: np.ndarray, step_size: float) -> float:
@@ -53,19 +29,19 @@ def _log_transition(to: np.ndarray, frm: np.ndarray, gradient: np.ndarray, step_
 
 def build_kernel(
     step_size: float,
-) -> Callable[[RngKey, MalaState, Target], tuple[MalaState, MalaInfo]]:
+) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, AcceptanceInfo]]:
     """Kernel proposing ``q' = q + eps * grad(q) + sqrt(2 eps) * z``."""
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
     noise_scale = math.sqrt(2.0 * step_size)
 
-    def kernel(key: RngKey, state: MalaState, target: Target) -> tuple[MalaState, MalaInfo]:
+    def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
         key_prop, key_accept = split_key(key, 2)
         noise = normal_vector(key_prop, target.dim)
         position = state.position + step_size * state.gradient + noise_scale * noise
         logdensity = float(target.logdensity(position))
         gradient = np.asarray(target.gradient(position), dtype=float)
-        proposed = MalaState(position, logdensity, gradient)
+        proposed = GradientState(position, logdensity, gradient)
         divergent = not (math.isfinite(logdensity) and np.all(np.isfinite(gradient)))
         if divergent:
             log_ratio = -math.inf
@@ -77,15 +53,11 @@ def build_kernel(
                 _log_transition(position, state.position, state.gradient, step_size),
             )
         chosen, accepted, p_accept = binomial_accept(key_accept, log_ratio, proposed, state)
-        info = MalaInfo(p_accept, accepted, divergent, -chosen.logdensity)
+        info = AcceptanceInfo(p_accept, accepted, divergent, -chosen.logdensity)
         return chosen, info
 
     return kernel
 
 
 def as_algorithm(target: Target, step_size: float) -> SamplingAlgorithm:
-    kernel = build_kernel(step_size)
-    return SamplingAlgorithm(
-        init=partial(init, target=target),
-        step=lambda key, state: kernel(key, state, target),
-    )
+    return bind(target, init, build_kernel(step_size))

@@ -16,12 +16,11 @@ form for an identity metric and stays correct under preconditioning.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ..core import SamplingAlgorithm, Target
+from ..core import GradientState, SamplingAlgorithm, Target, bind, init
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -29,20 +28,15 @@ from ..integrator import (
     kinetic_energy,
     leapfrog,
     sample_momentum,
+    total_energy,
     velocity,
 )
 from ..rng import RngKey, split_key, uniform
+from .hmc import DEFAULT_DIVERGENCE_THRESHOLD
 
-__all__ = ["NutsState", "NutsInfo", "init", "build_kernel", "as_algorithm"]
+__all__ = ["NutsInfo", "init", "build_kernel", "as_algorithm"]
 
 DEFAULT_MAX_DEPTH = 10
-DEFAULT_DIVERGENCE_THRESHOLD = 1000.0
-
-
-class NutsState(NamedTuple):
-    position: np.ndarray
-    logdensity: float
-    gradient: np.ndarray
 
 
 class NutsInfo(NamedTuple):
@@ -67,15 +61,6 @@ class _Tree(NamedTuple):
     diverging: bool
 
 
-def init(position: np.ndarray, target: Target) -> NutsState:
-    position = np.asarray(position, dtype=float)
-    return NutsState(
-        position,
-        float(target.logdensity(position)),
-        np.asarray(target.gradient(position), dtype=float),
-    )
-
-
 def _is_turning(left: IntegratorState, right: IntegratorState, metric: Metric) -> bool:
     span = right.position - left.position
     return (
@@ -94,10 +79,7 @@ def _leaf(
     divergence_threshold: float,
 ) -> _Tree:
     state = leapfrog(from_state, direction * step_size, metric, target)
-    if math.isfinite(state.logdensity) and np.all(np.isfinite(state.momentum)):
-        delta = (-state.logdensity + kinetic_energy(state.momentum, metric)) - energy_start
-    else:
-        delta = math.inf
+    delta = total_energy(state, metric) - energy_start
     diverging = not math.isfinite(delta) or delta > divergence_threshold
     log_weight = -delta if not diverging else -math.inf
     alpha = math.exp(min(0.0, -delta)) if not math.isnan(delta) else 0.0
@@ -114,6 +96,29 @@ def _merge_proposal(
     if math.log(max(uniform(key), 1e-320)) < second.log_weight - log_weight:
         return second.proposal, second.proposal_energy, log_weight
     return first.proposal, first.proposal_energy, log_weight
+
+
+def _combine(key: RngKey, first: _Tree, second: _Tree, direction: int, metric: Metric) -> _Tree:
+    """Join ``second``, grown from ``first``'s edge along ``direction``.
+
+    A turning or diverging ``second`` contributes only its integrator
+    statistics and its flags; otherwise the proposals are merged and the
+    joined span is checked for a U-turn.
+    """
+    left = first.left if direction == 1 else second.left
+    right = second.right if direction == 1 else first.right
+    alpha_sum = first.alpha_sum + second.alpha_sum
+    num_leapfrogs = first.num_leapfrogs + second.num_leapfrogs
+    if second.turning or second.diverging:
+        return _Tree(
+            left, right, first.proposal, first.proposal_energy, first.log_weight,
+            alpha_sum, num_leapfrogs, second.turning, second.diverging,
+        )
+    proposal, proposal_energy, log_weight = _merge_proposal(key, first, second)
+    return _Tree(
+        left, right, proposal, proposal_energy, log_weight,
+        alpha_sum, num_leapfrogs, _is_turning(left, right, metric), False,
+    )
 
 
 def _build_subtree(
@@ -143,21 +148,7 @@ def _build_subtree(
         key_second, grow_from, direction, depth - 1,
         step_size, metric, target, energy_start, divergence_threshold,
     )
-    left = first.left if direction == 1 else second.left
-    right = second.right if direction == 1 else first.right
-    alpha_sum = first.alpha_sum + second.alpha_sum
-    num_leapfrogs = first.num_leapfrogs + second.num_leapfrogs
-    if second.turning or second.diverging:
-        return _Tree(
-            left, right, first.proposal, first.proposal_energy, first.log_weight,
-            alpha_sum, num_leapfrogs, second.turning, second.diverging,
-        )
-    proposal, proposal_energy, log_weight = _merge_proposal(key_select, first, second)
-    turning = _is_turning(left, right, metric)
-    return _Tree(
-        left, right, proposal, proposal_energy, log_weight,
-        alpha_sum, num_leapfrogs, turning, False,
-    )
+    return _combine(key_select, first, second, direction, metric)
 
 
 def build_kernel(
@@ -165,7 +156,7 @@ def build_kernel(
     metric: Optional[Metric] = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> Callable[[RngKey, NutsState, Target], tuple[NutsState, NutsInfo]]:
+) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, NutsInfo]]:
     """Build the NUTS transition kernel.
 
     ``info.p_accept`` averages ``min(1, exp(-(H - H_start)))`` over the
@@ -179,7 +170,7 @@ def build_kernel(
     if max_depth < 0:
         raise ValueError("max depth must be non-negative")
 
-    def kernel(key: RngKey, state: NutsState, target: Target) -> tuple[NutsState, NutsInfo]:
+    def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, NutsInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
         keys = split_key(key, 1 + max_depth)
         momentum = sample_momentum(keys[0], kernel_metric)
@@ -188,7 +179,6 @@ def build_kernel(
         tree = _Tree(start, start, start, energy_start, 0.0, 1.0, 0, False, False)
         initial_proposal = tree.proposal
         depth = 0
-        diverged = False
         while depth < max_depth:
             key_direction, key_build, key_select = split_key(keys[1 + depth], 3)
             direction = 1 if uniform(key_direction) < 0.5 else -1
@@ -197,29 +187,20 @@ def build_kernel(
                 key_build, grow_from, direction, depth,
                 step_size, kernel_metric, target, energy_start, divergence_threshold,
             )
-            alpha_sum = tree.alpha_sum + subtree.alpha_sum
-            num_leapfrogs = tree.num_leapfrogs + subtree.num_leapfrogs
-            if subtree.diverging or subtree.turning:
-                diverged = subtree.diverging
-                tree = tree._replace(alpha_sum=alpha_sum, num_leapfrogs=num_leapfrogs)
+            tree = _combine(key_select, tree, subtree, direction, kernel_metric)
+            if subtree.turning or subtree.diverging:
                 break
-            proposal, proposal_energy, log_weight = _merge_proposal(key_select, tree, subtree)
-            left = tree.left if direction == 1 else subtree.left
-            right = subtree.right if direction == 1 else tree.right
-            tree = _Tree(
-                left, right, proposal, proposal_energy, log_weight,
-                alpha_sum, num_leapfrogs, False, False,
-            )
             depth += 1
-            if _is_turning(left, right, kernel_metric):
+            if tree.turning:
                 break
         p_accept = tree.alpha_sum / (tree.num_leapfrogs + 1)
+        diverged = tree.diverging
         if diverged:
             chosen, accepted = state, False
             energy = energy_start
         else:
             accepted = tree.proposal is not initial_proposal
-            chosen = NutsState(
+            chosen = GradientState(
                 tree.proposal.position, tree.proposal.logdensity, tree.proposal.gradient
             )
             energy = tree.proposal_energy
@@ -236,8 +217,4 @@ def as_algorithm(
     max_depth: int = DEFAULT_MAX_DEPTH,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
-    kernel = build_kernel(step_size, metric, max_depth, divergence_threshold)
-    return SamplingAlgorithm(
-        init=partial(init, target=target),
-        step=lambda key, state: kernel(key, state, target),
-    )
+    return bind(target, init, build_kernel(step_size, metric, max_depth, divergence_threshold))

@@ -2,28 +2,20 @@
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from ..core import SamplingAlgorithm, Target
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind
 from ..proposal import binomial_accept, safe_energy_diff
 from ..rng import RngKey, normal_vector, split_key
 
-__all__ = ["RwmState", "RwmInfo", "init", "build_kernel", "as_algorithm"]
+__all__ = ["RwmState", "init", "build_kernel", "as_algorithm"]
 
 
 class RwmState(NamedTuple):
     position: np.ndarray
     logdensity: float
-
-
-class RwmInfo(NamedTuple):
-    p_accept: float
-    accepted: bool
-    is_divergent: bool
-    energy: float
 
 
 def init(position: np.ndarray, target: Target) -> RwmState:
@@ -33,7 +25,7 @@ def init(position: np.ndarray, target: Target) -> RwmState:
 
 def build_kernel(
     proposal_scale: Union[float, np.ndarray],
-) -> Callable[[RngKey, RwmState, Target], tuple[RwmState, RwmInfo]]:
+) -> Callable[[RngKey, RwmState, Target], tuple[RwmState, AcceptanceInfo]]:
     """Kernel proposing ``q' = q + scale * z`` with standard-normal z.
 
     ``proposal_scale`` is a positive scalar or a positive per-coordinate
@@ -43,7 +35,7 @@ def build_kernel(
     if not np.all(scale > 0.0):
         raise ValueError("proposal scale must be strictly positive")
 
-    def kernel(key: RngKey, state: RwmState, target: Target) -> tuple[RwmState, RwmInfo]:
+    def kernel(key: RngKey, state: RwmState, target: Target) -> tuple[RwmState, AcceptanceInfo]:
         key_prop, key_accept = split_key(key, 2)
         noise = normal_vector(key_prop, target.dim)
         position = state.position + scale * noise
@@ -51,15 +43,11 @@ def build_kernel(
         log_ratio = safe_energy_diff(-state.logdensity, -logdensity)
         proposed = RwmState(position, logdensity)
         chosen, accepted, p_accept = binomial_accept(key_accept, log_ratio, proposed, state)
-        info = RwmInfo(p_accept, accepted, False, -chosen.logdensity)
+        info = AcceptanceInfo(p_accept, accepted, False, -chosen.logdensity)
         return chosen, info
 
     return kernel
 
 
 def as_algorithm(target: Target, proposal_scale: Union[float, np.ndarray]) -> SamplingAlgorithm:
-    kernel = build_kernel(proposal_scale)
-    return SamplingAlgorithm(
-        init=partial(init, target=target),
-        step=lambda key, state: kernel(key, state, target),
-    )
+    return bind(target, init, build_kernel(proposal_scale))

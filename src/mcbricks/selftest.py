@@ -27,7 +27,7 @@ from .mcmc import ghmc, hmc, mala, nuts, rwm
 from .rng import fold_in, make_key, normal_vector, split_key, uniform_vector
 from .sgmcmc import make_gradient_estimator, sghmc_algorithm, sgld_algorithm
 from .smc.resampling import resample, RESAMPLING_METHODS
-from .targets import make_builtin
+from .targets import MCMC_TARGET_NAMES, TARGETS, make_builtin
 
 __all__ = ["run_selftest"]
 
@@ -47,8 +47,8 @@ def _check_rng() -> None:
 
 def _check_gradients() -> None:
     key = make_key(7)
-    for name in ("std_normal", "aniso_gauss", "banana", "funnel", "logistic_synth"):
-        dim = 5 if name == "logistic_synth" else 3
+    for name in MCMC_TARGET_NAMES:
+        dim = TARGETS[name].default_dim if TARGETS[name].fixed_dim else 3
         builtin = make_builtin(name, dim, data_key=fold_in(key, 99))
         worst = gradient_discrepancy(builtin.target, fold_in(key, 1), num_points=25)
         assert worst < 1e-4, f"{name} gradient mismatch {worst:.3g}"

@@ -23,7 +23,7 @@ __all__ = [
 
 
 class DegenerateWeightsError(ValueError):
-    """No finite log weight remains; the ensemble carries no information."""
+    """The log weights cannot be normalized: all are -inf, or one is NaN."""
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -33,13 +33,20 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(peak + np.log(np.sum(np.exp(values - peak))))
 
 
+def _total_log_weight(log_weights: np.ndarray) -> float:
+    """``logsumexp`` of the weights, or the reason it is not finite."""
+    total = _logsumexp(log_weights)
+    if np.isfinite(total):
+        return total
+    if np.any(np.isnan(log_weights)):
+        raise DegenerateWeightsError("log weights contain NaN")
+    raise DegenerateWeightsError("all log weights are -inf")
+
+
 def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     """Exponentiate and normalize to a probability vector."""
     log_weights = np.asarray(log_weights, dtype=float)
-    total = _logsumexp(log_weights)
-    if not np.isfinite(total):
-        raise DegenerateWeightsError("all log weights are -inf")
-    return np.exp(log_weights - total)
+    return np.exp(log_weights - _total_log_weight(log_weights))
 
 
 def ess(log_weights: np.ndarray) -> float:
@@ -49,9 +56,7 @@ def ess(log_weights: np.ndarray) -> float:
     [1, N], reaching N at equal weights and 1 at a one-hot vector.
     """
     log_weights = np.asarray(log_weights, dtype=float)
-    total = _logsumexp(log_weights)
-    if not np.isfinite(total):
-        raise DegenerateWeightsError("all log weights are -inf")
+    total = _total_log_weight(log_weights)
     return float(np.exp(2.0 * total - _logsumexp(2.0 * log_weights)))
 
 

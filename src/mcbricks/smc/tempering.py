@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core import SamplingAlgorithm, Target
 from ..rng import RngKey, fold_in, split_key
-from .resampling import ess, resample
+from .resampling import _logsumexp, ess, resample
 
 __all__ = [
     "ParticleEnsemble",
@@ -98,13 +98,6 @@ def init_ensemble(particles: np.ndarray) -> ParticleEnsemble:
     if particles.ndim != 2 or particles.shape[0] < 2:
         raise ValueError("particles must be an (N, dim) matrix with N >= 2")
     return ParticleEnsemble(particles, np.zeros(particles.shape[0]), 0.0, 0.0)
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = np.max(values)
-    if peak == -np.inf:
-        return -np.inf
-    return float(peak + np.log(np.sum(np.exp(values - peak))))
 
 
 def reweight(

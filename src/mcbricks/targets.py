@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .smc.tempering import TemperedTarget
 
 __all__ = [
     "BuiltinTarget",
+    "TargetSpec",
+    "TARGETS",
     "MCMC_TARGET_NAMES",
     "SMC_TARGET_NAMES",
     "make_builtin",
@@ -72,8 +74,7 @@ def _sigmoid(scores: np.ndarray) -> np.ndarray:
 
 def std_normal(dim: int) -> BuiltinTarget:
     """Standard normal in ``dim`` dimensions."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+    TARGETS["std_normal"].check_dim(dim)
 
     def logdensity(x: np.ndarray) -> float:
         return -0.5 * float(x @ x)
@@ -97,8 +98,7 @@ def aniso_variances(dim: int) -> np.ndarray:
 
 def aniso_gauss(dim: int) -> BuiltinTarget:
     """Axis-aligned Gaussian with variances spanning two decades."""
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
+    TARGETS["aniso_gauss"].check_dim(dim)
     variances = aniso_variances(dim)
     precision = 1.0 / variances
 
@@ -126,8 +126,7 @@ def banana(dim: int = 2) -> BuiltinTarget:
     Gaussian centered on the parabola ``-b * (x1^2 - spread)``; any further
     coordinates are independent standard normals.
     """
-    if dim < 2:
-        raise ValueError("banana needs at least two dimensions")
+    TARGETS["banana"].check_dim(dim)
     b = BANANA_CURVATURE
     spread = BANANA_SPREAD
 
@@ -157,8 +156,7 @@ def funnel(dim: int = 2) -> BuiltinTarget:
     ``x0 ~ N(0, 9)`` and ``x_i | x0 ~ N(0, exp(x0))`` for i >= 1, a
     standard stress test for step-size adaptation.
     """
-    if dim < 2:
-        raise ValueError("funnel needs at least two dimensions")
+    TARGETS["funnel"].check_dim(dim)
     neck_var = FUNNEL_SCALE * FUNNEL_SCALE
 
     def logdensity(x: np.ndarray) -> float:
@@ -237,33 +235,6 @@ def logistic_synth(key: RngKey) -> BuiltinTarget:
     )
 
 
-MCMC_TARGET_NAMES = ("std_normal", "aniso_gauss", "banana", "funnel", "logistic_synth")
-SMC_TARGET_NAMES = ("gauss_conjugate", "logistic_synth")
-
-
-def make_builtin(name: str, dim: int, data_key: Optional[RngKey] = None) -> BuiltinTarget:
-    """Look up a built-in target by name.
-
-    ``logistic_synth`` requires ``data_key`` (its dimension is fixed at 5);
-    the other targets take ``dim`` directly.
-    """
-    if name == "std_normal":
-        return std_normal(dim)
-    if name == "aniso_gauss":
-        return aniso_gauss(dim)
-    if name == "banana":
-        return banana(dim)
-    if name == "funnel":
-        return funnel(dim)
-    if name == "logistic_synth":
-        if data_key is None:
-            raise ValueError("logistic_synth needs a data key")
-        if dim not in (0, LOGISTIC_NUM_FEATURES):
-            raise ValueError("logistic_synth has fixed dimension 5")
-        return logistic_synth(data_key)
-    raise ValueError(f"unknown target {name!r}; choose from {MCMC_TARGET_NAMES}")
-
-
 def conjugate_gaussian_data(key: RngKey, dim: int, num_observations: int) -> np.ndarray:
     """Observations for the conjugate-Gaussian model, drawn from N(0, 2I).
 
@@ -298,9 +269,8 @@ def conjugate_gaussian_posterior(observations: np.ndarray) -> tuple[np.ndarray, 
     return observations.sum(axis=0) / (1.0 + k), 1.0 / (1.0 + k)
 
 
-def _conjugate_tempered(observations: np.ndarray) -> TemperedTarget:
-    observations = np.atleast_2d(np.asarray(observations, dtype=float))
-    dim = observations.shape[1]
+def _conjugate_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dict]:
+    observations = conjugate_gaussian_data(data_key, dim, CONJUGATE_NUM_OBSERVATIONS)
     count = observations.shape[0]
     col_sums = observations.sum(axis=0)
     sq_total = float(np.sum(observations * observations))
@@ -320,7 +290,96 @@ def _conjugate_tempered(observations: np.ndarray) -> TemperedTarget:
     def grad_likelihood(x: np.ndarray) -> np.ndarray:
         return col_sums - count * x
 
-    return TemperedTarget(dim, log_prior, grad_prior, log_likelihood, grad_likelihood)
+    tempered = TemperedTarget(dim, log_prior, grad_prior, log_likelihood, grad_likelihood)
+    return tempered, {"observations": observations}
+
+
+def _logistic_builtin(dim: int, data_key: Optional[RngKey]) -> BuiltinTarget:
+    if data_key is None:
+        raise ValueError("logistic_synth needs a data key")
+    return logistic_synth(data_key)
+
+
+def _logistic_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dict]:
+    data = make_logistic_data(data_key)
+    loglik, grad_loglik = _logistic_terms(data)
+    tempered = TemperedTarget(
+        LOGISTIC_NUM_FEATURES,
+        lambda w: -0.5 * float(w @ w),
+        lambda w: -w,
+        loglik,
+        grad_loglik,
+    )
+    return tempered, {"data": data}
+
+
+@dataclass(frozen=True)
+class TargetSpec:
+    """Registry entry: a built-in target's dimension rule, analytic label and factories.
+
+    ``builtin(dim, data_key)`` builds the MCMC/VI target, ``tempered(dim,
+    data_key)`` the SMC prior/likelihood split.  ``dim`` must be at least
+    ``min_dim``, and equal to ``default_dim`` when ``fixed_dim`` is set.
+    """
+
+    name: str
+    default_dim: int
+    analytic: str
+    min_dim: int = 1
+    fixed_dim: bool = False
+    builtin: Optional[Callable[[int, Optional[RngKey]], BuiltinTarget]] = None
+    tempered: Optional[Callable[[int, RngKey], tuple[TemperedTarget, dict]]] = None
+
+    @property
+    def commands(self) -> str:
+        """The CLI commands that accept the target: those it has a factory for."""
+        offered = (("mcmc/vi", self.builtin), ("smc", self.tempered))
+        return "/".join(command for command, factory in offered if factory is not None)
+
+    @property
+    def dimensions(self) -> str:
+        if self.fixed_dim:
+            return f"fixed {self.default_dim}"
+        return f"any >= {self.min_dim} (default {self.default_dim})"
+
+    def check_dim(self, dim: int) -> None:
+        """Raise ``ValueError`` unless ``dim`` obeys the dimension rule."""
+        if self.fixed_dim and dim != self.default_dim:
+            raise ValueError(f"{self.name} has fixed dimension {self.default_dim}")
+        if dim < self.min_dim:
+            raise ValueError(f"{self.name} needs dimension at least {self.min_dim}")
+
+
+# Registry order is the order of MCMC_TARGET_NAMES and SMC_TARGET_NAMES.
+TARGETS = {
+    spec.name: spec
+    for spec in (
+        TargetSpec("gauss_conjugate", 1, "evidence", tempered=_conjugate_tempered),
+        TargetSpec("std_normal", 1, "yes", builtin=lambda dim, key: std_normal(dim)),
+        TargetSpec("aniso_gauss", 2, "yes", builtin=lambda dim, key: aniso_gauss(dim)),
+        TargetSpec("banana", 2, "no", min_dim=2, builtin=lambda dim, key: banana(dim)),
+        TargetSpec("funnel", 2, "no", min_dim=2, builtin=lambda dim, key: funnel(dim)),
+        TargetSpec(
+            "logistic_synth", LOGISTIC_NUM_FEATURES, "no", fixed_dim=True,
+            builtin=_logistic_builtin, tempered=_logistic_tempered,
+        ),
+    )
+}
+MCMC_TARGET_NAMES = tuple(name for name, spec in TARGETS.items() if spec.builtin)
+SMC_TARGET_NAMES = tuple(name for name, spec in TARGETS.items() if spec.tempered)
+
+
+def _lookup(name: str, dim: int, factory: str, choices: tuple[str, ...]) -> TargetSpec:
+    spec = TARGETS.get(name)
+    if spec is None or getattr(spec, factory) is None:
+        raise ValueError(f"unknown target {name!r}; choose from {choices}")
+    spec.check_dim(dim)
+    return spec
+
+
+def make_builtin(name: str, dim: int, data_key: Optional[RngKey] = None) -> BuiltinTarget:
+    """Build a built-in MCMC/VI target; ``logistic_synth`` needs ``data_key``."""
+    return _lookup(name, dim, "builtin", MCMC_TARGET_NAMES).builtin(dim, data_key)
 
 
 def make_tempered(name: str, dim: int, data_key: RngKey) -> tuple[TemperedTarget, dict]:
@@ -329,20 +388,4 @@ def make_tempered(name: str, dim: int, data_key: RngKey) -> tuple[TemperedTarget
     Returns the target plus a details dict (observations or data handles)
     so callers can recover analytic quantities where they exist.
     """
-    if name == "gauss_conjugate":
-        observations = conjugate_gaussian_data(data_key, dim, CONJUGATE_NUM_OBSERVATIONS)
-        return _conjugate_tempered(observations), {"observations": observations}
-    if name == "logistic_synth":
-        if dim not in (0, LOGISTIC_NUM_FEATURES):
-            raise ValueError("logistic_synth has fixed dimension 5")
-        data = make_logistic_data(data_key)
-        loglik, grad_loglik = _logistic_terms(data)
-        tempered = TemperedTarget(
-            LOGISTIC_NUM_FEATURES,
-            lambda w: -0.5 * float(w @ w),
-            lambda w: -w,
-            loglik,
-            grad_loglik,
-        )
-        return tempered, {"data": data}
-    raise ValueError(f"unknown tempered target {name!r}; choose from {SMC_TARGET_NAMES}")
+    return _lookup(name, dim, "tempered", SMC_TARGET_NAMES).tempered(dim, data_key)

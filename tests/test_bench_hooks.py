@@ -1,0 +1,60 @@
+"""Guard for the hooks the benchmark's tracer relies on.
+
+``bench/tracing.py`` measures a CLI run from the outside: it wraps every
+sampler's ``build_kernel`` (and the kernels it returns) and the target
+callables inside whatever ``targets.make_builtin`` and
+``targets.make_tempered`` return.  A refactor that built kernels or targets
+some other way would leave the benchmark counting zero steps or gradients;
+these tests fail instead.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mcbricks import targets
+from mcbricks.rng import make_key
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "nuts", "--num-warmup", "100", "--num-samples", "10",
+     "--num-chains", "1"],
+    ["run-smc", "--target", "logistic_synth", "--num-particles", "10",
+     "--mutation", "hmc"],
+])
+def test_traced_cli_run_sees_kernel_steps_and_gradients(tmp_path, argv):
+    tracer = tracing.Tracer()
+    code, _ = tracing.run_cli(argv + ["--seed", "1", "--output-dir", str(tmp_path)], tracer)
+    assert code == 0
+    assert tracer.kernel["steps"] > 0
+    assert tracer.eval_counts()["gradient"] > 0
+
+
+def test_every_registry_row_builds_under_the_tracer():
+    tracer = tracing.Tracer(spans=False)
+    uninstall = tracing.install(tracer)
+    try:
+        for spec in targets.TARGETS.values():
+            x = np.zeros(spec.default_dim)
+            before = tracer.eval_counts()
+            if spec.builtin is not None:
+                target = targets.make_builtin(spec.name, spec.default_dim, make_key(0)).target
+                assert target.dim == spec.default_dim
+                target.logdensity(x)
+                target.gradient(x)
+            if spec.tempered is not None:
+                tempered, _ = targets.make_tempered(spec.name, spec.default_dim, make_key(0))
+                assert tempered.dim == spec.default_dim
+                tempered.log_likelihood(x)
+                tempered.grad_likelihood(x)
+            after = tracer.eval_counts()
+            calls = (spec.builtin is not None) + (spec.tempered is not None)
+            assert after["density"] - before["density"] == calls, spec.name
+            assert after["gradient"] - before["gradient"] == calls, spec.name
+    finally:
+        uninstall()

@@ -291,3 +291,17 @@ def test_config_file_errors_exit_2(tmp_path):
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just some words\n")
     assert main(["run", "--seed", "1", "--config", str(malformed)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--target", "banana", "--dim", "1"],
+    ["run-vi", "--target", "funnel", "--dim", "1"],
+    ["run-smc", "--target", "logistic_synth", "--dim", "3"],
+])
+def test_dimension_outside_the_target_rule_exits_2(tmp_path, capsys, argv):
+    code, out_dir = _run_cli(tmp_path, "bad_dim", argv + ["--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dim ")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()

@@ -7,6 +7,7 @@ import pytest
 
 from mcbricks.core import Target
 from mcbricks.integrator import (
+    IntegratorState,
     dense_metric,
     diagonal_metric,
     identity_metric,
@@ -230,3 +231,15 @@ def test_leapfrog_volume_preservation_in_one_dimension():
     dp_dp = (advance(q0, p0 + h)[1] - advance(q0, p0 - h)[1]) / (2 * h)
     determinant = dq_dq * dp_dp - dq_dp * dp_dq
     assert abs(determinant - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("logdensity, momentum, expected", [
+    (-1.0, [math.nan, 1.0], math.inf),  # NaN momentum
+    (-math.inf, [0.5, 1.0], math.inf),  # outside the support
+    (math.nan, [0.5, 1.0], math.inf),
+    (-3.25, [1.5, -0.25], 3.25 + 0.5 * (0.5 * 1.5**2 + 2.0 * 0.25**2)),  # finite: unchanged
+])
+def test_total_energy_is_plus_inf_exactly_when_not_finite(logdensity, momentum, expected):
+    metric = diagonal_metric(np.array([0.5, 2.0]))
+    state = IntegratorState(np.zeros(2), np.array(momentum), logdensity, np.zeros(2))
+    assert total_energy(state, metric) == expected

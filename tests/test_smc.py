@@ -57,6 +57,14 @@ def test_all_minus_inf_weights_raise():
         ess(np.array([-np.inf, -np.inf]))
 
 
+def test_nan_weights_raise_naming_nan():
+    for log_w in ([0.0, np.nan, -1.0], [np.nan, -np.inf]):
+        with pytest.raises(DegenerateWeightsError, match="NaN"):
+            normalized_weights(np.array(log_w))
+        with pytest.raises(DegenerateWeightsError, match="NaN"):
+            ess(np.array(log_w))
+
+
 def test_ess_equal_weights_is_the_count():
     assert ess(np.zeros(7)) == pytest.approx(7.0, rel=1e-12)
 
