@@ -224,8 +224,23 @@ def _echo_config(args: argparse.Namespace) -> dict:
     return echo
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.17g}"
+# Rows formatted per write; bounds the Python floats alive at any time.
+_CSV_BLOCK_ROWS = 64
+
+
+def _write_csv_rows(handle, leading: tuple, values: np.ndarray) -> None:
+    """Write one line per row of the 2-D ``values``.
+
+    A line is the ``leading`` integers, the row index, then every value as
+    ``%.17g`` (round-trip exact), comma-separated.  One format call per
+    row and one write per block of rows.
+    """
+    line = "%d," * (len(leading) + 1) + ",".join(["%.17g"] * values.shape[1]) + "\n"
+    for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
+        block = values[start:start + _CSV_BLOCK_ROWS].tolist()
+        handle.write("".join([
+            line % (*leading, index, *row) for index, row in enumerate(block, start)
+        ]))
 
 
 def _write_samples_csv(path: Path, chains: list[np.ndarray]) -> None:
@@ -234,10 +249,7 @@ def _write_samples_csv(path: Path, chains: list[np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(header + "\n")
         for chain_index, positions in enumerate(chains):
-            for draw_index in range(positions.shape[0]):
-                row = positions[draw_index]
-                values = ",".join(_format_float(v) for v in row)
-                handle.write(f"{chain_index},{draw_index},{values}\n")
+            _write_csv_rows(handle, (chain_index,), positions)
 
 
 def _json_ready(value):
@@ -439,8 +451,7 @@ def _cmd_run_vi(args: argparse.Namespace) -> int:
     out_dir = _write_outputs(args, [draws], None, started, extras)
     with open(out_dir / "elbo_trace.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("step,elbo\n")
-        for step in range(args.num_steps):
-            handle.write(f"{step},{_format_float(elbo_trace[step])}\n")
+        _write_csv_rows(handle, (), elbo_trace[:, None])
     return 0
 
 

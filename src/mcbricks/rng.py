@@ -3,8 +3,12 @@
 Every stochastic operation in the library consumes an explicit
 :class:`RngKey`.  Keys are immutable values, never mutable generator
 objects: drawing numbers and deriving child keys are pure functions of the
-key, so any computation that receives a key is bitwise reproducible on any
-platform and in any execution order.
+key, so any computation that receives a key is bitwise reproducible in any
+execution order.  Keys, uniforms and permutations come from 64-bit integer
+arithmetic and are the same on every platform.  Normal draws also go
+through NumPy's ``log``, ``sqrt``, ``cos`` and ``sin``, whose last bits can
+differ between NumPy builds and CPUs; they are reproducible on a given
+NumPy build, and ``mcbricks selftest`` pins the integer streams.
 
 The construction is counter-based.  A key holds 128 bits of state (two
 64-bit words).  Each consumer first derives a 64-bit stream seed by
@@ -19,6 +23,7 @@ Box-Muller transform.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -48,6 +53,17 @@ _TAG_PERMUTATION = 4
 
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, exact in binary64
 
+# uint64 operands of the array finalizer, built once instead of per call.
+_NP_GOLDEN = np.uint64(_GOLDEN)
+_NP_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_NP_MUL2 = np.uint64(0x94D049BB133111EB)
+_NP_11 = np.uint64(11)
+_NP_27 = np.uint64(27)
+_NP_30 = np.uint64(30)
+_NP_31 = np.uint64(31)
+# Longest counter run kept by _counter_steps; longer ones are rebuilt per call.
+_MAX_CACHED_STEPS = 1024
+
 
 class RngKey(NamedTuple):
     """128-bit key for the counter-based generator.
@@ -63,33 +79,56 @@ class RngKey(NamedTuple):
 
 def _mix64(z: int) -> int:
     # SplitMix64 finalizer (Steele et al.), pure-Python 64-bit arithmetic.
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    # Literal constants: a global lookup costs more than the arithmetic.
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    # Same finalizer on a uint64 array; relies on numpy wrapping mod 2**64.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # Same finalizer on a uint64 array, in place; numpy wraps mod 2**64.
+    z ^= z >> _NP_30
+    z *= _NP_MUL1
+    z ^= z >> _NP_27
+    z *= _NP_MUL2
+    z ^= z >> _NP_31
+    return z
 
 
 def _stream_seed(key: RngKey, tag: int) -> int:
-    # Fold (hi, lo, tag) into a single well-mixed 64-bit stream seed.
-    z = _mix64((key.hi + _GOLDEN) & _MASK64)
-    z = _mix64(z ^ key.lo)
-    return _mix64(z ^ (tag * _GOLDEN & _MASK64))
+    # Fold (hi, lo, tag) into a single well-mixed 64-bit stream seed: three
+    # _mix64 rounds, written out to save two calls on every draw.
+    z = (key.hi + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    z ^= (z >> 31) ^ key.lo
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    z ^= (z >> 31) ^ (tag * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
 
 
 def _word(seed: int, index: int) -> int:
     return _mix64((seed + index * _GOLDEN) & _MASK64)
 
 
+@functools.lru_cache(maxsize=64)
+def _counter_steps(count: int) -> np.ndarray:
+    # ``arange(count) * GOLDEN``, shared read-only between calls and threads.
+    steps = np.arange(count, dtype=np.uint64) * _NP_GOLDEN
+    steps.setflags(write=False)
+    return steps
+
+
 def _words_np(seed: int, count: int) -> np.ndarray:
-    idx = np.arange(count, dtype=np.uint64)
-    z = np.uint64(seed) + idx * np.uint64(_GOLDEN)
-    return _mix64_np(z)
+    # Words 0..count-1 of the stream, as a fresh array the caller may modify.
+    if count <= _MAX_CACHED_STEPS:
+        steps = _counter_steps(count)
+    else:
+        steps = np.arange(count, dtype=np.uint64) * _NP_GOLDEN
+    return _mix64_np(steps + np.uint64(seed))
 
 
 def make_key(seed: int) -> RngKey:
@@ -120,19 +159,19 @@ def split_key(key: RngKey, num: int) -> list[RngKey]:
     """
     if num < 1:
         raise ValueError("cannot split into fewer than one key")
+    seed = _stream_seed(key, _TAG_SPLIT)
     if num <= 8:
-        seed = _stream_seed(key, _TAG_SPLIT)
         return [
             RngKey(_word(seed, 2 * i), _word(seed, 2 * i + 1))
             for i in range(num)
         ]
-    words = _words_np(_stream_seed(key, _TAG_SPLIT), 2 * num)
-    return [RngKey(int(words[2 * i]), int(words[2 * i + 1])) for i in range(num)]
+    words = _words_np(seed, 2 * num).tolist()
+    return list(map(RngKey, words[0::2], words[1::2]))
 
 
 def uniform(key: RngKey) -> float:
     """One double, uniform on [0, 1): the top 53 bits of one stream word."""
-    return (_word(_stream_seed(key, _TAG_UNIFORM), 0) >> 11) * _INV_2_53
+    return (_mix64(_stream_seed(key, _TAG_UNIFORM)) >> 11) * _INV_2_53
 
 
 def uniform_vector(key: RngKey, num: int) -> np.ndarray:
@@ -144,7 +183,10 @@ def uniform_vector(key: RngKey, num: int) -> np.ndarray:
     if num < 0:
         raise ValueError("draw count must be non-negative")
     words = _words_np(_stream_seed(key, _TAG_UNIFORM), num)
-    return (words >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    words >>= _NP_11
+    draws = words.astype(np.float64)
+    draws *= _INV_2_53
+    return draws
 
 
 def normal_vector(key: RngKey, num: int) -> np.ndarray:
@@ -163,13 +205,25 @@ def normal_vector(key: RngKey, num: int) -> np.ndarray:
     seed = _stream_seed(key, _TAG_NORMAL)
     seed = _mix64((seed + num * _GOLDEN) & _MASK64)
     words = _words_np(seed, 2 * pairs)
-    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * math.pi) * u2
+    words >>= _NP_11
+    uniforms = words.astype(np.float64)
+    uniforms *= _INV_2_53
+    # Even words give the radius, odd words the angle; every step is in
+    # place.  Adding 2**-53 to k * 2**-53 is exact, so the radius uniform is
+    # (k + 1) * 2**-53, on (0, 1].
+    radius = uniforms[0::2]
+    radius += _INV_2_53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = uniforms[1::2]
+    angle *= 2.0 * math.pi
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    even, odd = out[0::2], out[1::2]
+    np.cos(angle, out=even)
+    even *= radius
+    np.sin(angle, out=odd)
+    odd *= radius
     return out[:num]
 
 

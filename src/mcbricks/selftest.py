@@ -24,7 +24,7 @@ from .adaptation import (
 from .core import gradient_discrepancy, run_chain
 from .integrator import identity_metric, integrator_state, leapfrog, total_energy
 from .mcmc import ghmc, hmc, mala, nuts, rwm
-from .rng import fold_in, make_key, normal_vector, split_key, uniform_vector
+from .rng import fold_in, make_key, normal_vector, split_key, uniform, uniform_vector
 from .sgmcmc import make_gradient_estimator, sghmc_algorithm, sgld_algorithm
 from .smc.resampling import resample, RESAMPLING_METHODS
 from .targets import MCMC_TARGET_NAMES, TARGETS, make_builtin
@@ -41,6 +41,13 @@ def _check_rng() -> None:
     assert len({(c.hi, c.lo) for c in children}) == 8, "split produced duplicate keys"
     for index, child in enumerate(children):
         assert fold_in(key, index) == child, "fold_in disagrees with split_key"
+    # Literal stream values: saved runs replay only while these hold.
+    assert children[7] == (7515637237872870611, 8245129402367735524), "split_key stream changed"
+    assert split_key(key, 9)[8] == (13639656520806062074, 4058633446723297223), \
+        "split_key stream changed"
+    assert fold_in(key, 10**6) == (732649399640202656, 16613062456869360582), \
+        "fold_in stream changed"
+    assert uniform(key) * 2**53 == 3367637147800791, "uniform stream changed"
     normals = normal_vector(key, 4096)
     assert abs(float(np.mean(normals))) < 0.1, "normal sample mean implausible"
 

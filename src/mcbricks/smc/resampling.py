@@ -23,7 +23,7 @@ __all__ = [
 
 
 class DegenerateWeightsError(ValueError):
-    """The log weights cannot be normalized: all are -inf, or one is NaN."""
+    """The log weights cannot be normalized: all are -inf, or one is NaN or +inf."""
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -35,6 +35,8 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def _total_log_weight(log_weights: np.ndarray) -> float:
     """``logsumexp`` of the weights, or the reason it is not finite."""
+    if np.any(log_weights == np.inf):
+        raise DegenerateWeightsError("log weights contain +inf")
     total = _logsumexp(log_weights)
     if np.isfinite(total):
         return total

@@ -235,6 +235,63 @@ def test_run_vi_validates_counts(tmp_path):
     assert main(["run-vi", "--seed", "1", "--num-draws", "3"]) == 2
 
 
+# ------------------------------------------------------------- CSV bytes
+
+_AWKWARD_FLOATS = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-300, 0.1, 1e16, 1e17,
+    -123456789.125, 1.0 / 3.0,
+]
+
+
+def _awkward_table(rows, cols, seed):
+    """Normals with every awkward float placed in several rows and columns."""
+    table = np.random.default_rng(seed).standard_normal((rows, cols)) * 1e3
+    flat = table.reshape(-1)
+    for offset in range(0, flat.size, 97):
+        flat[offset:offset + len(_AWKWARD_FLOATS)] = _AWKWARD_FLOATS[: flat.size - offset]
+    return table
+
+
+def _per_cell_csv(header, prefixes, tables):
+    lines = [header]
+    for prefix, table in zip(prefixes, tables):
+        for index, row in enumerate(table):
+            cells = [format(float(v), ".17g") for v in row]
+            lines.append(",".join(prefix + [str(index)] + cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_samples_csv_bytes_match_per_cell_formatting(tmp_path):
+    from mcbricks.cli import _write_samples_csv
+
+    # Row counts above one write block and not a multiple of common block sizes.
+    chains = [_awkward_table(1001, 7, 1), _awkward_table(37, 7, 2), _awkward_table(513, 7, 3)]
+    path = tmp_path / "samples.csv"
+    _write_samples_csv(path, chains)
+    header = "chain,draw," + ",".join(f"dim_{i}" for i in range(7))
+    expected = _per_cell_csv(header, [["0"], ["1"], ["2"]], chains)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_elbo_trace_bytes_match_per_cell_formatting(tmp_path, monkeypatch):
+    import mcbricks.cli as cli_module
+
+    elbos = _awkward_table(1001, 1, 4)[:, 0]
+    steps = iter(elbos)
+
+    def fake_vi_step(key, state, target, optimizer, num_samples):
+        return state, type("Info", (), {"elbo": next(steps)})()
+
+    monkeypatch.setattr(cli_module, "vi_step", fake_vi_step)
+    code, out_dir = _run_cli(tmp_path, "vi", [
+        "run-vi", "--target", "std_normal", "--dim", "2", "--seed", "1",
+        "--num-steps", str(elbos.size), "--num-draws", "4",
+    ])
+    assert code == 0
+    expected = _per_cell_csv("step,elbo", [[]], [elbos[:, None]])
+    assert (out_dir / "elbo_trace.csv").read_bytes() == expected.encode("utf-8")
+
+
 # ------------------------------------------------------------- other commands
 
 

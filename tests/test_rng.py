@@ -157,3 +157,131 @@ def test_keys_are_value_types():
     key = RngKey(3, 4)
     assert key == RngKey(3, 4)
     assert hash(key) == hash(RngKey(3, 4))
+
+
+# --- Stream pins -------------------------------------------------------------
+# A frozen copy of the generator as first released.  Bitwise replay of every
+# saved run rests on these streams, so any change to them is a break, even
+# one that keeps purity and moments.
+
+_REF_MASK = 0xFFFFFFFFFFFFFFFF
+_REF_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _ref_mix64(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _REF_MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _REF_MASK
+    return z ^ (z >> 31)
+
+
+def _ref_mix64_np(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_stream_seed(key, tag):
+    z = _ref_mix64((key.hi + _REF_GOLDEN) & _REF_MASK)
+    z = _ref_mix64(z ^ key.lo)
+    return _ref_mix64(z ^ (tag * _REF_GOLDEN & _REF_MASK))
+
+
+def _ref_word(seed, index):
+    return _ref_mix64((seed + index * _REF_GOLDEN) & _REF_MASK)
+
+
+def _ref_words_np(seed, count):
+    idx = np.arange(count, dtype=np.uint64)
+    return _ref_mix64_np(np.uint64(seed) + idx * np.uint64(_REF_GOLDEN))
+
+
+def _ref_fold_in(key, index):
+    seed = _ref_stream_seed(key, 1)
+    return RngKey(_ref_word(seed, 2 * index), _ref_word(seed, 2 * index + 1))
+
+
+def _ref_split_key(key, num):
+    if num <= 8:
+        seed = _ref_stream_seed(key, 1)
+        return [RngKey(_ref_word(seed, 2 * i), _ref_word(seed, 2 * i + 1)) for i in range(num)]
+    words = _ref_words_np(_ref_stream_seed(key, 1), 2 * num)
+    return [RngKey(int(words[2 * i]), int(words[2 * i + 1])) for i in range(num)]
+
+
+def _ref_uniform(key):
+    return (_ref_word(_ref_stream_seed(key, 2), 0) >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _ref_uniform_vector(key, num):
+    words = _ref_words_np(_ref_stream_seed(key, 2), num)
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _ref_normal_vector(key, num):
+    if num == 0:
+        return np.zeros(0)
+    inv = 1.0 / 9007199254740992.0
+    pairs = (num + 1) // 2
+    seed = _ref_stream_seed(key, 3)
+    seed = _ref_mix64((seed + num * _REF_GOLDEN) & _REF_MASK)
+    words = _ref_words_np(seed, 2 * pairs)
+    u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * inv
+    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * inv
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:num]
+
+
+def _ref_permutation(key, num):
+    return np.argsort(_ref_words_np(_ref_stream_seed(key, 4), num), kind="stable")
+
+
+def _battery(count=1200):
+    """Seeded keys (full 64-bit words), lengths 0-130, indices up to 1e6."""
+    rs = np.random.default_rng(20240601)
+    his = rs.integers(0, 2**64, size=count, dtype=np.uint64).tolist()
+    los = rs.integers(0, 2**64, size=count, dtype=np.uint64).tolist()
+    lengths = rs.integers(0, 131, size=count).tolist()
+    indices = rs.integers(0, 10**6 + 1, size=count).tolist()
+    # Make sure every length, both parities and the 8/9 split switch occur.
+    lengths[:131] = range(131)
+    return [RngKey(h, l) for h, l in zip(his, los)], lengths, indices
+
+
+def test_integer_streams_match_the_reference_bitwise():
+    keys, lengths, indices = _battery()
+    for key, num, index in zip(keys, lengths, indices):
+        assert fold_in(key, index) == _ref_fold_in(key, index)
+        if num >= 1:
+            assert split_key(key, num) == _ref_split_key(key, num)
+        assert uniform(key) == _ref_uniform(key)
+        assert uniform_vector(key, num).tobytes() == _ref_uniform_vector(key, num).tobytes()
+        assert permutation(key, num).tolist() == _ref_permutation(key, num).tolist()
+
+
+def test_normal_streams_match_the_reference_bitwise():
+    keys, lengths, _ = _battery()
+    for key, num in zip(keys, lengths):
+        assert normal_vector(key, num).tobytes() == _ref_normal_vector(key, num).tobytes()
+    for num in (255, 256, 1001, 4097):
+        key = make_key(num)
+        assert normal_vector(key, num).tobytes() == _ref_normal_vector(key, num).tobytes()
+        assert normal_matrix(key, num, 3).tobytes() == _ref_normal_vector(key, 3 * num).tobytes()
+
+
+def test_streams_match_pinned_literals():
+    key = make_key(2024)
+    assert key == RngKey(13528552476626338937, 11487996472437173461)
+    assert split_key(key, 2) == [
+        RngKey(12739832064446092222, 18399515615473694713),
+        RngKey(9917414981656405461, 5865425139696595429),
+    ]
+    assert split_key(key, 9)[8] == RngKey(18265767619257873670, 16877409363617217625)
+    assert fold_in(key, 10**6) == RngKey(10526266564555858580, 2273999646020389442)
+    assert uniform(key) * 2**53 == 1348016635693513
+    words = (uniform_vector(key, 3) * 2**53).tolist()
+    assert words == [1348016635693513, 8598777275225152, 5560518912330084]
+    assert permutation(key, 8).tolist() == [6, 0, 2, 3, 4, 7, 5, 1]

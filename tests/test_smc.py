@@ -1,6 +1,7 @@
 """Tests for resampling schemes and tempered SMC."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ def test_nan_weights_raise_naming_nan():
             normalized_weights(np.array(log_w))
         with pytest.raises(DegenerateWeightsError, match="NaN"):
             ess(np.array(log_w))
+
+
+def test_plus_inf_weights_raise_naming_plus_inf_without_warnings():
+    for log_w in ([0.0, np.inf], [np.inf, -np.inf, 1.0], [np.inf, np.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateWeightsError, match=r"\+inf"):
+                normalized_weights(np.array(log_w))
+            with pytest.raises(DegenerateWeightsError, match=r"\+inf"):
+                ess(np.array(log_w))
 
 
 def test_ess_equal_weights_is_the_count():
