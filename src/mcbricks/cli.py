@@ -14,15 +14,19 @@ sampling key); SMC and VI consume the run key directly.  Worker threads
 only change scheduling, never key derivation, so concurrent chains write
 exactly the bytes sequential execution writes.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success; 2 configuration error, including a setting the library
+rejects while a run is built (before any sampling); 3 numerical failure while
+sampling; 141 when the reader closes standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -32,12 +36,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .adaptation import StepSizeSearchError, window_adaptation
+from .adaptation import StepSizeSearchError, build_schedule, window_adaptation
 from .core import ChainError, SamplingAlgorithm, run_chain
 from .diagnostics import DegenerateChainsError, summarize
 from .mcmc import ghmc, hmc, mala, nuts, rwm
 from .rng import RngKey, fold_in, make_key, normal_matrix, split_key
-from .smc import SmcStagnationError, run_tempered_smc
+from .smc import SmcStagnationError, check_settings, run_tempered_smc
 from .smc.resampling import RESAMPLING_METHODS, DegenerateWeightsError
 from .targets import (
     MCMC_TARGET_NAMES,
@@ -47,7 +51,7 @@ from .targets import (
     make_builtin,
     make_tempered,
 )
-from .vi import adam, meanfield_init, sgd, vi_sample, vi_step
+from .vi import adam, meanfield_init, meanfield_vi, sgd, vi_sample, vi_step
 from . import selftest as selftest_module
 
 __all__ = ["main", "ConfigError"]
@@ -89,7 +93,12 @@ def _convert_config_value(action: argparse.Action, raw: str):
         if lowered in ("false", "0", "no"):
             return False
         raise ConfigError(f"config key {action.dest!r} expects a boolean, got {raw!r}")
-    value = action.type(raw) if callable(action.type) else raw
+    try:
+        value = action.type(raw) if callable(action.type) else raw
+    except ValueError as exc:
+        raise ConfigError(
+            f"config key {action.dest!r} expects {action.type.__name__}, got {raw!r}"
+        ) from exc
     if action.choices is not None and value not in action.choices:
         raise ConfigError(
             f"config key {action.dest!r} must be one of {tuple(action.choices)}, got {value!r}"
@@ -138,7 +147,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subcommands = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     run = subcommands.add_parser("run", help="sample a target with an MCMC algorithm")
     _add_common(run, MCMC_TARGET_NAMES)
@@ -159,7 +167,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     run.add_argument("--divergence-threshold", type=float, default=1000.0)
     run.add_argument("--mass", choices=("diagonal", "dense"), default="diagonal")
     run.set_defaults(handler=_cmd_run)
-    registry["run"] = run
 
     smc = subcommands.add_parser("run-smc", help="tempered SMC from prior to posterior")
     _add_common(smc, SMC_TARGET_NAMES)
@@ -173,7 +180,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     smc.add_argument("--target-ess-ratio", type=float, default=0.5)
     smc.add_argument("--max-stages", type=int, default=1000)
     smc.set_defaults(handler=_cmd_run_smc)
-    registry["run-smc"] = smc
 
     vi = subcommands.add_parser("run-vi", help="fit a mean-field Gaussian approximation")
     _add_common(vi, MCMC_TARGET_NAMES)
@@ -183,19 +189,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     vi.add_argument("--num-elbo-samples", type=int, default=16)
     vi.add_argument("--num-draws", type=int, default=2000)
     vi.set_defaults(handler=_cmd_run_vi)
-    registry["run-vi"] = vi
 
     targets_cmd = subcommands.add_parser("targets", help="inspect built-in targets")
     targets_sub = targets_cmd.add_subparsers(dest="targets_command", required=True)
     listing = targets_sub.add_parser("list", help="list built-in targets")
     listing.set_defaults(handler=_cmd_targets_list)
-    registry["targets"] = targets_cmd
 
     check = subcommands.add_parser("selftest", help="run the invariant quick-suite")
-    check.set_defaults(handler=_cmd_selftest)
-    registry["selftest"] = check
-
-    return parser, registry
+    check.set_defaults(handler=lambda args: selftest_module.run_selftest())
+    # Subcommand name -> its parser, for folding in a --config file.
+    return parser, subcommands.choices
 
 
 def _root_keys(args: argparse.Namespace) -> list[RngKey]:
@@ -294,129 +297,106 @@ def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] =
     return out_dir
 
 
-def _make_mcmc_algorithm(args, target, key_warmup) -> tuple[SamplingAlgorithm, object]:
-    """Build the sampling algorithm for one chain, running warmup if needed.
+def _sampler(args, name: str, target, step_size: float, metric=None) -> SamplingAlgorithm:
+    """The ``name`` sampler on ``target``, its other settings taken from ``args``.
 
-    Returns the algorithm plus the state to start sampling from.
+    Builders are looked up on their modules at call time, so rebinding one
+    (as the benchmark's tracer does) takes effect.
     """
-    initial_position = np.zeros(target.dim)
-    name = args.algorithm
-    if name in ("hmc", "nuts"):
-        if args.num_warmup < 20:
-            raise ConfigError("hmc/nuts need --num-warmup >= 20 for window adaptation")
-        result = window_adaptation(
-            key_warmup,
-            target,
-            initial_position,
-            args.num_warmup,
-            kernel_family=name,
-            target_accept=args.target_accept,
-            mass=args.mass,
-            initial_step_size=args.step_size if args.step_size else 1.0,
-            num_integration_steps=args.num_integration_steps,
-            max_depth=args.max_depth,
-            divergence_threshold=args.divergence_threshold,
-        )
-        if name == "nuts":
-            algorithm = nuts.as_algorithm(
-                target, result.step_size, result.metric,
-                args.max_depth, args.divergence_threshold,
-            )
-        else:
-            algorithm = hmc.as_algorithm(
-                target, result.step_size, args.num_integration_steps,
-                result.metric, args.divergence_threshold,
-            )
-        return algorithm, result.state
     if name == "rwm":
-        algorithm = rwm.as_algorithm(target, args.proposal_scale)
-    elif name == "mala":
-        algorithm = mala.as_algorithm(target, args.step_size if args.step_size else 0.1)
-    elif name == "ghmc":
-        algorithm = ghmc.as_algorithm(
-            target,
-            args.step_size if args.step_size else 0.1,
-            args.persistence,
-            None,
-            args.slice_jitter,
-        )
-    else:
-        raise ConfigError(f"unknown algorithm {name!r}")
-    state = algorithm.init(initial_position)
-    if args.num_warmup > 0:
-        state, _, _ = run_chain(key_warmup, algorithm.step, state, args.num_warmup)
-    return algorithm, state
+        return rwm.as_algorithm(target, args.proposal_scale)
+    if name == "mala":
+        return mala.as_algorithm(target, step_size)
+    threshold = getattr(args, "divergence_threshold", hmc.DEFAULT_DIVERGENCE_THRESHOLD)
+    if name == "hmc":
+        return hmc.as_algorithm(target, step_size, args.num_integration_steps, metric, threshold)
+    if name == "ghmc":
+        return ghmc.as_algorithm(target, step_size, args.persistence, metric, args.slice_jitter)
+    return nuts.as_algorithm(target, step_size, metric, args.max_depth, threshold)
 
 
-def _run_one_chain(args, target, chain_key: RngKey) -> tuple[np.ndarray, list]:
-    key_warmup, key_sampling = split_key(chain_key, 2)
-    algorithm, state = _make_mcmc_algorithm(args, target, key_warmup)
-    _, infos, positions = run_chain(key_sampling, algorithm.step, state, args.num_samples)
-    return positions, infos
+@contextlib.contextmanager
+def _building():
+    """Report a ``ValueError`` raised while a run is built as a config error.
+
+    Only construction goes in here: once sampling starts, a ``ValueError``
+    (say, from a metric built on a degenerate window) is not a bad setting.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "std_normal")
-    for count_name in ("num_warmup", "num_samples", "num_chains"):
-        if getattr(args, count_name) < 1 and count_name != "num_warmup":
-            raise ConfigError(f"--{count_name.replace('_', '-')} must be positive")
     if args.num_samples < 4:
         raise ConfigError("--num-samples must be at least 4 for diagnostics")
+    if args.num_chains < 1:
+        raise ConfigError("--num-chains must be positive")
     if args.num_warmup < 0:
         raise ConfigError("--num-warmup must be non-negative")
     if args.chain_workers < 1:
         raise ConfigError("--chain-workers must be positive")
     started = time.perf_counter()
-    builtin = make_builtin(name, dim, data_key=key_data)
-    target = builtin.target
+    adapted = args.algorithm in ("hmc", "nuts")
+    step_size = args.step_size or (1.0 if adapted else 0.1)
+    with _building():
+        target = make_builtin(name, dim, data_key=key_data).target
+        # hmc/nuts build this only as a check; each chain adapts its own.
+        shared = _sampler(args, args.algorithm, target, step_size)
+        if adapted:
+            build_schedule(args.num_warmup)
+
+    def run_one_chain(chain_key: RngKey) -> tuple[np.ndarray, list]:
+        key_warmup, key_sampling = split_key(chain_key, 2)
+        algorithm = shared
+        if adapted:
+            result = window_adaptation(
+                key_warmup, target, np.zeros(target.dim), args.num_warmup,
+                kernel_family=args.algorithm, target_accept=args.target_accept,
+                mass=args.mass, initial_step_size=step_size,
+                num_integration_steps=args.num_integration_steps,
+                max_depth=args.max_depth, divergence_threshold=args.divergence_threshold,
+            )
+            algorithm = _sampler(args, args.algorithm, target, result.step_size, result.metric)
+            state = result.state
+        else:
+            state = algorithm.init(np.zeros(target.dim))
+            state, _, _ = run_chain(key_warmup, algorithm.step, state, args.num_warmup)
+        _, infos, positions = run_chain(key_sampling, algorithm.step, state, args.num_samples)
+        return positions, infos
+
     chain_keys = [fold_in(key_run, c) for c in range(args.num_chains)]
     if args.chain_workers > 1:
         with concurrent.futures.ThreadPoolExecutor(args.chain_workers) as pool:
-            results = list(pool.map(
-                lambda key: _run_one_chain(args, target, key), chain_keys
-            ))
+            results = list(pool.map(run_one_chain, chain_keys))
     else:
-        results = [_run_one_chain(args, target, key) for key in chain_keys]
+        results = [run_one_chain(key) for key in chain_keys]
     chains = [positions for positions, _ in results]
     infos = [info for _, chain_infos in results for info in chain_infos]
     _write_outputs(args, chains, infos, started)
     return 0
 
 
-def _smc_mutation_factory(args):
-    name = args.mutation
-    if name == "rwm":
-        return lambda target: rwm.as_algorithm(target, args.proposal_scale)
-    if name == "mala":
-        return lambda target: mala.as_algorithm(target, args.step_size)
-    return lambda target: hmc.as_algorithm(
-        target, args.step_size, args.num_integration_steps
-    )
-
-
 def _cmd_run_smc(args: argparse.Namespace) -> int:
     key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "gauss_conjugate")
-    if args.num_particles < 2:
-        raise ConfigError("--num-particles must be at least 2")
-    if args.num_mutation_steps < 0:
-        raise ConfigError("--num-mutation-steps must be non-negative")
     started = time.perf_counter()
-    tempered, details = make_tempered(name, dim, key_data)
 
-    def prior_sampler(key: RngKey, count: int) -> np.ndarray:
-        return normal_matrix(key, count, tempered.dim)
+    def mutation(target) -> SamplingAlgorithm:
+        return _sampler(args, args.mutation, target, args.step_size)
+
+    with _building():
+        check_settings(args.num_particles, args.num_mutation_steps, args.target_ess_ratio)
+        tempered, details = make_tempered(name, dim, key_data)
+        mutation(tempered.at_temperature(0.0))
 
     result = run_tempered_smc(
-        key_run,
-        tempered,
-        prior_sampler,
-        args.num_particles,
-        _smc_mutation_factory(args),
-        num_mutation_steps=args.num_mutation_steps,
-        resample_method=args.resample,
-        target_ess_ratio=args.target_ess_ratio,
+        key_run, tempered, lambda key, count: normal_matrix(key, count, tempered.dim),
+        args.num_particles, mutation, num_mutation_steps=args.num_mutation_steps,
+        resample_method=args.resample, target_ess_ratio=args.target_ess_ratio,
         max_stages=args.max_stages,
     )
     extras = {"smc": {"ladder": result.ladder, "log_z": result.log_z}}
@@ -436,9 +416,10 @@ def _cmd_run_vi(args: argparse.Namespace) -> int:
     if args.num_draws < 4:
         raise ConfigError("--num-draws must be at least 4 for diagnostics")
     started = time.perf_counter()
-    builtin = make_builtin(name, dim, data_key=key_data)
-    target = builtin.target
-    optimizer = adam(args.learning_rate) if args.optimizer == "adam" else sgd(args.learning_rate)
+    with _building():
+        target = make_builtin(name, dim, data_key=key_data).target
+        optimizer = (adam if args.optimizer == "adam" else sgd)(args.learning_rate)
+        meanfield_vi(target, optimizer, args.num_elbo_samples)
     state = meanfield_init(np.zeros(target.dim), optimizer)
     elbo_trace = np.empty(args.num_steps)
     for step in range(args.num_steps):
@@ -463,28 +444,27 @@ def _cmd_targets_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    return selftest_module.run_selftest()
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in registry:
-            args = _apply_config_file(parser, registry[args.command], argv, args)
-        return args.handler(args)
+        args = _apply_config_file(parser, registry[args.command], argv, args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StepSizeSearchError, SmcStagnationError, DegenerateWeightsError,
+    except (ChainError, StepSizeSearchError, SmcStagnationError, DegenerateWeightsError,
             DegenerateChainsError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ChainError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # final flush of what is still buffered cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell reports for a program killed by SIGPIPE
 
 
 if __name__ == "__main__":

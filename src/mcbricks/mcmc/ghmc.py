@@ -80,6 +80,8 @@ def build_kernel(
         raise ValueError("step size must be strictly positive")
     if not 0.0 <= persistence <= 1.0:
         raise ValueError("persistence must lie in [0, 1]")
+    if not 0.0 <= slice_jitter <= 1.0:
+        raise ValueError("slice jitter must lie in [0, 1]")
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
 
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:

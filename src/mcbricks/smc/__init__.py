@@ -7,6 +7,7 @@ from .tempering import (
     SmcStagnationError,
     TemperedTarget,
     adaptive_next_lambda,
+    check_settings,
     init_ensemble,
     reweight,
     run_tempered_smc,
@@ -23,6 +24,7 @@ __all__ = [
     "SmcStagnationError",
     "TemperedTarget",
     "adaptive_next_lambda",
+    "check_settings",
     "init_ensemble",
     "reweight",
     "run_tempered_smc",

@@ -29,6 +29,7 @@ __all__ = [
     "init_ensemble",
     "reweight",
     "adaptive_next_lambda",
+    "check_settings",
     "smc_step",
     "run_tempered_smc",
     "TemperedSmcResult",
@@ -161,6 +162,18 @@ def adaptive_next_lambda(
     return 0.5 * (low + high)
 
 
+def check_settings(
+    num_particles: int, num_mutation_steps: int = 1, target_ess_ratio: float = 0.5
+) -> None:
+    """Raise ``ValueError`` for settings :func:`run_tempered_smc` rejects before any draw."""
+    if num_particles < 2:
+        raise ValueError("need at least two particles")
+    if num_mutation_steps < 0:
+        raise ValueError("mutation step count must be non-negative")
+    if not 0.0 < target_ess_ratio < 1.0:
+        raise ValueError("target ESS ratio must lie in (0, 1)")
+
+
 def smc_step(
     key: RngKey,
     ensemble: ParticleEnsemble,
@@ -235,8 +248,7 @@ def run_tempered_smc(
     bisection contract makes lambda strictly increase, so the run
     terminates; ``max_stages`` guards against non-progress regardless.
     """
-    if num_particles < 2:
-        raise ValueError("need at least two particles")
+    check_settings(num_particles, num_mutation_steps, target_ess_ratio)
     key_init, key_stages = split_key(key, 2)
     particles = np.asarray(initial_sampler(key_init, num_particles), dtype=float)
     if particles.shape != (num_particles, tempered_target.dim):

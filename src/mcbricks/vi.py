@@ -184,6 +184,8 @@ def vi_sample(key: RngKey, state: MeanFieldState, num_samples: int) -> np.ndarra
 
 def meanfield_vi(target: Target, optimizer: Optimizer, num_samples: int = 16) -> ApproxAlgorithm:
     """Package mean-field VI behind the init/step/sample protocol."""
+    if num_samples < 1:
+        raise ValueError("need at least one sample")
     return ApproxAlgorithm(
         init=lambda position: meanfield_init(position, optimizer),
         step=lambda key, state: vi_step(key, state, target, optimizer, num_samples),

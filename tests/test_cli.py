@@ -1,13 +1,20 @@
 """End-to-end tests for the command-line harness."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcbricks.cli import main
 from mcbricks.core import run_chain
-from mcbricks.mcmc import rwm
+from mcbricks.mcmc import ghmc, mala, rwm
 from mcbricks.rng import fold_in, make_key, split_key
 from mcbricks.targets import std_normal
 
@@ -104,6 +111,23 @@ def test_run_respects_the_documented_key_layout(tmp_path):
             key_sampling, algorithm.step, algorithm.init(np.zeros(2)), 25
         )
         np.testing.assert_array_equal(csv_chains[chain], positions)
+
+
+@pytest.mark.parametrize("module", [rwm, mala, ghmc], ids=lambda m: m.__name__)
+def test_fixed_kernel_is_built_once_for_all_chains(tmp_path, monkeypatch, module):
+    original = module.build_kernel
+    builds = []
+
+    def counting_build_kernel(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "build_kernel", counting_build_kernel)
+    algorithm = module.__name__.rsplit(".", 1)[1]
+    code, _ = _run_cli(tmp_path, algorithm, _quick_run_args(algorithm=algorithm)
+                       + ["--num-chains", "3", "--chain-workers", "2"])
+    assert code == 0
+    assert len(builds) == 1
 
 
 def test_run_nuts_with_adaptation(tmp_path):
@@ -362,3 +386,84 @@ def test_dimension_outside_the_target_rule_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: --dim ")
     assert err.count("\n") == 1
     assert not out_dir.exists()
+
+
+# ------------------------------------------------------------- exit codes
+
+# Each flag is rejected by the library while the run is built, before any
+# sampling; "CONFIG" stands for a config file holding ``num-warmup = 1.5``.
+_BAD_SETTINGS = [
+    ["run", "--algorithm", "ghmc", "--persistence", "2"],
+    ["run", "--algorithm", "rwm", "--proposal-scale", "-1"],
+    ["run", "--algorithm", "nuts", "--max-depth", "-1"],
+    ["run", "--algorithm", "mala", "--step-size", "-1"],
+    ["run", "--algorithm", "hmc", "--num-integration-steps", "0"],
+    ["run", "--algorithm", "ghmc", "--slice-jitter", "2"],
+    ["run-smc", "--target-ess-ratio", "1.5"],
+    ["run-smc", "--mutation", "hmc", "--step-size", "-1"],
+    ["run-vi", "--learning-rate", "-1"],
+    ["run-vi", "--num-elbo-samples", "0"],
+    ["run", "--config", "CONFIG"],
+    ["run", "--algorithm", "nuts", "--num-warmup", "10"],
+    ["run-smc", "--num-particles", "1"],
+]
+
+
+def _assert_one_error_line(err):
+    assert err.startswith("error: "), err
+    assert err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", _BAD_SETTINGS, ids=" ".join)
+def test_a_setting_rejected_while_building_exits_2(tmp_path, capsys, argv):
+    config = tmp_path / "bad.cfg"
+    config.write_text("num-warmup = 1.5\n")
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    code, out_dir = _run_cli(tmp_path, "bad", argv + ["--seed", "1"])
+    assert code == 2
+    _assert_one_error_line(capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+_OUT_OF_RANGE = st.one_of(
+    st.tuples(st.just("rwm"), st.just("--proposal-scale"),
+              st.floats(max_value=0.0, allow_nan=False).map(repr)),
+    st.tuples(st.just("ghmc"), st.just("--persistence"),
+              st.one_of(st.floats(max_value=-1e-9, allow_nan=False),
+                        st.floats(min_value=1.0 + 1e-9, allow_nan=False)).map(repr)),
+    st.tuples(st.just("nuts"), st.just("--max-depth"),
+              st.integers(max_value=-1).map(str)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_OUT_OF_RANGE)
+def test_out_of_range_kernel_flags_exit_2(tmp_path_factory, case):
+    algorithm, flag, value = case
+    out_dir = tmp_path_factory.mktemp("never_written")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--algorithm", algorithm, f"{flag}={value}", "--seed", "1",
+                     "--output-dir", str(out_dir)])
+    assert code == 2
+    _assert_one_error_line(err.getvalue())
+    assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_quietly_with_status_141(unbuffered):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mcbricks.cli", "targets", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
