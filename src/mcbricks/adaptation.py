@@ -42,6 +42,7 @@ __all__ = [
     "welford_update",
     "welford_finalize",
     "build_schedule",
+    "check_settings",
     "find_reasonable_step_size",
     "window_adaptation",
     "WindowAdaptationResult",
@@ -194,6 +195,13 @@ def build_schedule(num_warmup: int) -> WindowSchedule:
     return WindowSchedule(tuple(stages))
 
 
+def check_settings(num_warmup: int, target_accept: float = 0.8) -> None:
+    """Raise ``ValueError`` for settings :func:`window_adaptation` rejects before any draw."""
+    build_schedule(num_warmup)
+    if not 0.0 < target_accept < 1.0:
+        raise ValueError("target acceptance must lie in (0, 1)")
+
+
 def find_reasonable_step_size(
     key: RngKey,
     target: Target,
@@ -221,12 +229,14 @@ def find_reasonable_step_size(
         return math.exp(min(energy_start - energy_end, 700.0))
 
     step = float(initial)
-    direction = 1 if acceptance(step) > 0.5 else -1
-    for _ in range(64):
-        step = step * 2.0 if direction == 1 else step * 0.5
-        ratio = acceptance(step)
-        if (direction == 1 and ratio <= 0.5) or (direction == -1 and ratio >= 0.5):
-            return step
+    # Extreme trial steps overflow; the energy rule turns that into +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        direction = 1 if acceptance(step) > 0.5 else -1
+        for _ in range(64):
+            step = step * 2.0 if direction == 1 else step * 0.5
+            ratio = acceptance(step)
+            if (direction == 1 and ratio <= 0.5) or (direction == -1 and ratio >= 0.5):
+                return step
     raise StepSizeSearchError(
         "no step size bracketing 0.5 acceptance after 64 doublings/halvings"
     )
@@ -263,6 +273,7 @@ def window_adaptation(
     """
     if kernel_family not in ("nuts", "hmc"):
         raise ValueError("kernel family must be 'nuts' or 'hmc'")
+    check_settings(num_warmup, target_accept)
 
     def transition(key: RngKey, state: GradientState, step_size: float, metric: Metric):
         if kernel_family == "nuts":
@@ -284,22 +295,24 @@ def window_adaptation(
     iteration = 0
     boundary = 0
     welford: Optional[WelfordState] = None
-    for kind, length in schedule.stages:
-        if kind == "slow":
-            welford = welford_init(target.dim, mass)
-        for _ in range(length):
-            state, info = transition(
-                fold_in(key_run, iteration), state, math.exp(da.log_step), metric
-            )
-            iteration += 1
-            da = da_update(da, info.p_accept, target_accept)
+    # As in run_chain: the kernels absorb non-finite arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, length in schedule.stages:
             if kind == "slow":
-                welford = welford_update(welford, state.position)
-        if kind == "slow":
-            metric = welford_finalize(welford, regularize=True)
-            boundary += 1
-            step_size = find_reasonable_step_size(
-                fold_in(key_search, boundary), target, state, metric, math.exp(da.log_step)
-            )
-            da = da_init(step_size)
+                welford = welford_init(target.dim, mass)
+            for _ in range(length):
+                state, info = transition(
+                    fold_in(key_run, iteration), state, math.exp(da.log_step), metric
+                )
+                iteration += 1
+                da = da_update(da, info.p_accept, target_accept)
+                if kind == "slow":
+                    welford = welford_update(welford, state.position)
+            if kind == "slow":
+                metric = welford_finalize(welford, regularize=True)
+                boundary += 1
+                step_size = find_reasonable_step_size(
+                    fold_in(key_search, boundary), target, state, metric, math.exp(da.log_step)
+                )
+                da = da_init(step_size)
     return WindowAdaptationResult(math.exp(da.log_step_avg), metric, state)

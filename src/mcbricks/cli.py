@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from .adaptation import StepSizeSearchError, build_schedule, window_adaptation
+from . import __version__, adaptation
+from .adaptation import StepSizeSearchError, window_adaptation
 from .core import ChainError, SamplingAlgorithm, run_chain
 from .diagnostics import DegenerateChainsError, summarize
 from .mcmc import ghmc, hmc, mala, nuts, rwm
@@ -347,7 +347,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # hmc/nuts build this only as a check; each chain adapts its own.
         shared = _sampler(args, args.algorithm, target, step_size)
         if adapted:
-            build_schedule(args.num_warmup)
+            adaptation.check_settings(args.num_warmup, args.target_accept)
 
     def run_one_chain(chain_key: RngKey) -> tuple[np.ndarray, list]:
         key_warmup, key_sampling = split_key(chain_key, 2)
@@ -389,7 +389,9 @@ def _cmd_run_smc(args: argparse.Namespace) -> int:
         return _sampler(args, args.mutation, target, args.step_size)
 
     with _building():
-        check_settings(args.num_particles, args.num_mutation_steps, args.target_ess_ratio)
+        check_settings(
+            args.num_particles, args.num_mutation_steps, args.target_ess_ratio, args.max_stages
+        )
         tempered, details = make_tempered(name, dim, key_data)
         mutation(tempered.at_temperature(0.0))
 

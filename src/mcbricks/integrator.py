@@ -108,7 +108,7 @@ def kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
         raise ValueError("momentum and metric dimensions disagree")
     if metric.kind == "dense":
         return 0.5 * float(momentum @ (metric.inverse_mass @ momentum))
-    return 0.5 * float(np.sum(metric.inverse_mass * momentum * momentum))
+    return 0.5 * float((metric.inverse_mass * momentum * momentum).sum())
 
 
 def sample_momentum(key: RngKey, metric: Metric) -> np.ndarray:
@@ -149,15 +149,18 @@ def leapfrog(
     Costs one fresh gradient evaluation; the incoming state's cached
     gradient supplies the first half kick.  Non-finite values propagate to
     the returned state and are absorbed by the acceptance atoms downstream,
-    so overflow here is expected behaviour, not worth a warning.
+    so overflow here is expected behaviour, not worth a warning.  The caller
+    owns ``np.errstate``: the drivers (``run_chain``, the SMC mutation loop,
+    ``window_adaptation``, ``find_reasonable_step_size``) silence overflow
+    and invalid-value warnings once around their loops rather than once per
+    step here.
     """
     half = 0.5 * step_size
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_half = state.momentum + half * state.gradient
-        position = state.position + step_size * velocity(p_half, metric)
-        logdensity = float(target.logdensity(position))
-        gradient = np.asarray(target.gradient(position), dtype=float)
-        momentum = p_half + half * gradient
+    p_half = state.momentum + half * state.gradient
+    position = state.position + step_size * velocity(p_half, metric)
+    logdensity = float(target.logdensity(position))
+    gradient = np.asarray(target.gradient(position), dtype=float)
+    momentum = p_half + half * gradient
     return IntegratorState(position, momentum, logdensity, gradient)
 
 

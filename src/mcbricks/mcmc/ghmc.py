@@ -122,4 +122,5 @@ def as_algorithm(
     metric: Optional[Metric] = None,
     slice_jitter: float = 0.0,
 ) -> SamplingAlgorithm:
+    metric = metric if metric is not None else identity_metric(target.dim)
     return bind(target, init, build_kernel(step_size, persistence, metric, slice_jitter))

@@ -46,6 +46,8 @@ def build_kernel(
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
+    if not divergence_threshold > 0.0:
+        raise ValueError("divergence threshold must be strictly positive")
     if num_integration_steps < 1:
         raise ValueError("need at least one integration step")
 
@@ -84,6 +86,7 @@ def as_algorithm(
     metric: Optional[Metric] = None,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
+    metric = metric if metric is not None else identity_metric(target.dim)
     return bind(
         target, init, build_kernel(step_size, num_integration_steps, metric, divergence_threshold)
     )

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from ..core import GradientState, SamplingAlgorithm, Target, bind, init
 from ..integrator import (
     IntegratorState,
@@ -86,10 +84,30 @@ def _leaf(
     return _Tree(state, state, state, energy_start + delta, log_weight, alpha, 1, False, diverging)
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` on two floats, without a ufunc call.
+
+    Follows NumPy's branches: equal arguments (infinities included) give
+    ``x + log 2``, otherwise the larger plus ``log1p(exp(-|x - y|))``, and
+    a NaN comes back as NaN.
+    """
+    if x == y:
+        return x + _LOG2
+    delta = x - y
+    if delta > 0.0:
+        return x + math.log1p(math.exp(-delta))
+    if delta <= 0.0:
+        return y + math.log1p(math.exp(delta))
+    return delta
+
+
 def _merge_proposal(
     key: RngKey, first: _Tree, second: _Tree
 ) -> tuple[IntegratorState, float, float]:
-    log_weight = np.logaddexp(first.log_weight, second.log_weight)
+    log_weight = _logaddexp(first.log_weight, second.log_weight)
     if log_weight == -math.inf:
         # Both halves carry zero weight; keep the earlier proposal.
         return first.proposal, first.proposal_energy, log_weight
@@ -167,6 +185,8 @@ def build_kernel(
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
+    if not divergence_threshold > 0.0:
+        raise ValueError("divergence threshold must be strictly positive")
     if max_depth < 0:
         raise ValueError("max depth must be non-negative")
 
@@ -217,4 +237,5 @@ def as_algorithm(
     max_depth: int = DEFAULT_MAX_DEPTH,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
+    metric = metric if metric is not None else identity_metric(target.dim)
     return bind(target, init, build_kernel(step_size, metric, max_depth, divergence_threshold))

@@ -163,9 +163,14 @@ def adaptive_next_lambda(
 
 
 def check_settings(
-    num_particles: int, num_mutation_steps: int = 1, target_ess_ratio: float = 0.5
+    num_particles: int,
+    num_mutation_steps: int = 1,
+    target_ess_ratio: float = 0.5,
+    max_stages: int = 1000,
 ) -> None:
     """Raise ``ValueError`` for settings :func:`run_tempered_smc` rejects before any draw."""
+    if max_stages < 1:
+        raise ValueError("stage budget must be at least 1")
     if num_particles < 2:
         raise ValueError("need at least two particles")
     if num_mutation_steps < 0:
@@ -211,13 +216,15 @@ def smc_step(
     if num_mutation_steps > 0:
         algorithm = mutation(tempered_target.at_temperature(new_lambda))
         particle_keys = split_key(key_mutate, num)
-        for i in range(num):
-            state = algorithm.init(mutated[i])
-            for j in range(num_mutation_steps):
-                state, info = algorithm.step(fold_in(particle_keys[i], j), state)
-                accept_total += float(info.p_accept)
-                accept_count += 1
-            mutated[i] = state.position
+        # As in run_chain: the kernels absorb non-finite arithmetic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(num):
+                state = algorithm.init(mutated[i])
+                for j in range(num_mutation_steps):
+                    state, info = algorithm.step(fold_in(particle_keys[i], j), state)
+                    accept_total += float(info.p_accept)
+                    accept_count += 1
+                mutated[i] = state.position
     mean_acceptance = accept_total / accept_count if accept_count else math.nan
     result = ParticleEnsemble(mutated, np.zeros(num), new_lambda, reweighted.log_z)
     return result, SmcInfo(new_lambda, pre_resample_ess, mean_acceptance)
@@ -248,7 +255,7 @@ def run_tempered_smc(
     bisection contract makes lambda strictly increase, so the run
     terminates; ``max_stages`` guards against non-progress regardless.
     """
-    check_settings(num_particles, num_mutation_steps, target_ess_ratio)
+    check_settings(num_particles, num_mutation_steps, target_ess_ratio, max_stages)
     key_init, key_stages = split_key(key, 2)
     particles = np.asarray(initial_sampler(key_init, num_particles), dtype=float)
     if particles.shape != (num_particles, tempered_target.dim):

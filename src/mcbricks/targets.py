@@ -63,12 +63,19 @@ def _saturating_exp(value: float) -> float:
 
 
 def _sigmoid(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, no overflow warnings."""
-    out = np.empty_like(scores, dtype=float)
-    positive = scores >= 0.0
-    out[positive] = 1.0 / (1.0 + np.exp(-scores[positive]))
-    exp_scores = np.exp(scores[~positive])
-    out[~positive] = exp_scores / (1.0 + exp_scores)
+    """Numerically stable logistic function, no overflow warnings.
+
+    With ``t = exp(-|s|)`` (never overflows) it is ``1 / (1 + t)`` for
+    ``s >= 0`` and ``t / (1 + t)`` otherwise, bit for bit the two textbook
+    branches.  ``-|s|`` is taken as ``min(s, -s)`` so a NaN keeps its sign.
+    ``scores`` is not modified.
+    """
+    t = np.negative(scores)
+    np.minimum(scores, t, out=t)
+    np.exp(t, out=t)
+    out = np.where(scores >= 0.0, 1.0, t)
+    t += 1.0
+    out /= t
     return out
 
 
@@ -103,7 +110,7 @@ def aniso_gauss(dim: int) -> BuiltinTarget:
     precision = 1.0 / variances
 
     def logdensity(x: np.ndarray) -> float:
-        return -0.5 * float(np.sum(precision * x * x))
+        return -0.5 * float((precision * x * x).sum())
 
     def gradient(x: np.ndarray) -> np.ndarray:
         return -precision * x
@@ -202,14 +209,29 @@ def make_logistic_data(key: RngKey) -> LogisticData:
 
 def _logistic_terms(data: LogisticData):
     design, labels = data.design, data.labels
+    # Samplers ask for the density and the gradient at the same position
+    # (leapfrog and init density first, the VI step gradient first), so the
+    # linear predictor ``design @ w`` of the last position is kept.  The
+    # entry is one (position bytes, scores) tuple, replaced whole, so
+    # threads sharing the target never pair one position's key with
+    # another's scores; a miss only costs the matmul.
+    memo = (None, None)
+
+    def scores_at(w: np.ndarray) -> np.ndarray:
+        nonlocal memo
+        key = np.asarray(w, dtype=float).tobytes()
+        cached_key, scores = memo
+        if key != cached_key:
+            scores = design @ w
+            memo = (key, scores)
+        return scores
 
     def loglik(w: np.ndarray) -> float:
-        scores = design @ w
-        return float(labels @ scores - np.sum(np.logaddexp(0.0, scores)))
+        scores = scores_at(w)
+        return float(labels @ scores - np.logaddexp(0.0, scores).sum())
 
     def grad_loglik(w: np.ndarray) -> np.ndarray:
-        scores = design @ w
-        return design.T @ (labels - _sigmoid(scores))
+        return design.T @ (labels - _sigmoid(scores_at(w)))
 
     return loglik, grad_loglik
 

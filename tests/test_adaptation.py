@@ -1,12 +1,14 @@
 """Tests for step-size/metric adaptation and the warmup schedule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mcbricks.adaptation import (
     build_schedule,
+    check_settings,
     da_init,
     da_update,
     find_reasonable_step_size,
@@ -347,3 +349,24 @@ def test_window_adaptation_beats_identity_metric_on_anisotropic_target():
     tuned_ess = effective_sample_size(tuned_draws[None, :, :]).min()
     plain_ess = effective_sample_size(plain_draws[None, :, :]).min()
     assert tuned_ess >= 3.0 * plain_ess
+
+
+@pytest.mark.parametrize("target_accept", [0.0, 1.0, 1.5, -1.0, math.nan])
+def test_target_acceptance_outside_the_open_unit_interval_is_rejected(target_accept):
+    with pytest.raises(ValueError, match="target acceptance"):
+        check_settings(100, target_accept)
+    with pytest.raises(ValueError, match="target acceptance"):
+        window_adaptation(
+            make_key(0), std_normal(2).target, np.zeros(2), 100, target_accept=target_accept
+        )
+    check_settings(100, 0.65)
+
+
+def test_step_size_search_through_an_overflow_raises_no_warning():
+    """Acceptance stays near 1 until ``x @ x`` overflows; that trial ends the doubling."""
+    target = Target(2, lambda x: -0.5e-300 * float(x @ x) * 1e-20, lambda x: -1e-300 * x * 1e-20)
+    state = hmc.init(np.ones(2), target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = find_reasonable_step_size(make_key(0), target, state, identity_metric(2), 1e140)
+    assert 1e150 < step < 1e160

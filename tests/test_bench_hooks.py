@@ -58,3 +58,17 @@ def test_every_registry_row_builds_under_the_tracer():
             assert after["gradient"] - before["gradient"] == calls, spec.name
     finally:
         uninstall()
+
+
+def test_traced_vi_run_counts_every_density_and_gradient(tmp_path):
+    """Sharing the linear predictor inside logistic_synth hides no evaluation.
+
+    Five VI steps of 16 ELBO draws each ask for 80 gradients and 80 densities.
+    """
+    tracer = tracing.Tracer()
+    argv = ["run-vi", "--target", "logistic_synth", "--num-steps", "5",
+            "--seed", "1", "--output-dir", str(tmp_path)]
+    code, _ = tracing.run_cli(argv, tracer)
+    assert code == 0
+    counts = tracer.eval_counts()
+    assert (counts["density"], counts["gradient"]) == (80, 80)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -467,3 +468,50 @@ def test_closed_stdout_ends_quietly_with_status_141(unbuffered):
         os.close(write_end)
     assert done.returncode == 141
     assert done.stderr == b""
+
+
+_BAD_SAMPLING_SETTINGS = [
+    ["run", "--algorithm", "nuts", "--target-accept", "1.5"],
+    ["run", "--algorithm", "hmc", "--target-accept", "0"],
+    ["run", "--algorithm", "nuts", "--target-accept", "-1"],
+    ["run", "--algorithm", "nuts", "--divergence-threshold", "-1"],
+    ["run", "--algorithm", "nuts", "--divergence-threshold", "0"],
+    ["run", "--algorithm", "nuts", "--divergence-threshold", "nan"],
+    ["run", "--algorithm", "hmc", "--divergence-threshold", "nan"],
+    ["run-smc", "--max-stages", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_SAMPLING_SETTINGS, ids=" ".join)
+def test_a_sampling_setting_rejected_while_building_exits_2(tmp_path, capsys, argv):
+    code, out_dir = _run_cli(tmp_path, "bad", argv + ["--seed", "1"])
+    assert code == 2
+    _assert_one_error_line(capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+# Runs whose trajectories overflow (steps far past stability, or no energy
+# bound on a NUTS tree in the funnel's neck); the kernels absorb the
+# non-finite values as rejections or divergences, without a word.
+_OVERFLOWING_RUNS = [
+    ["run-smc", "--target", "logistic_synth", "--num-particles", "100", "--mutation", "hmc",
+     "--step-size", "1e200", "--num-integration-steps", "2", "--num-mutation-steps", "1",
+     "--seed", "2"],
+    ["run-smc", "--target", "gauss_conjugate", "--num-particles", "20", "--mutation", "hmc",
+     "--step-size", "1.5", "--num-integration-steps", "300", "--num-mutation-steps", "1",
+     "--seed", "2"],
+    ["run", "--target", "funnel", "--algorithm", "nuts", "--divergence-threshold", "inf",
+     "--num-warmup", "150", "--num-samples", "20", "--num-chains", "2", "--seed", "3"],
+    ["run", "--target", "std_normal", "--dim", "2", "--algorithm", "hmc",
+     "--num-integration-steps", "300", "--num-warmup", "100", "--num-samples", "20",
+     "--num-chains", "1", "--seed", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _OVERFLOWING_RUNS, ids=lambda argv: " ".join(argv[:5]))
+def test_overflowing_runs_raise_no_runtime_warning(tmp_path, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out_dir = _run_cli(tmp_path, "out", argv)
+    assert code == 0
+    assert (out_dir / "samples.csv").exists()

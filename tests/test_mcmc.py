@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcbricks.core import Target, run_chain
 from mcbricks.integrator import (
@@ -454,3 +455,42 @@ def test_as_algorithm_wraps_init_and_step(module, kwargs):
     assert len(infos) == 10
     assert all(0.0 <= info.p_accept <= 1.0 for info in infos)
     np.testing.assert_array_equal(final.position, positions[-1])
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+def test_hmc_and_nuts_reject_a_divergence_threshold_that_is_not_positive(threshold):
+    with pytest.raises(ValueError, match="divergence threshold"):
+        hmc.build_kernel(0.1, 5, divergence_threshold=threshold)
+    with pytest.raises(ValueError, match="divergence threshold"):
+        nuts.build_kernel(0.1, divergence_threshold=threshold)
+    nuts.build_kernel(0.1, divergence_threshold=math.inf)
+
+
+def test_default_metric_is_built_once_per_algorithm(monkeypatch):
+    built = []
+
+    def counting_identity_metric(dim):
+        built.append(dim)
+        return identity_metric(dim)
+
+    target = std_normal(3).target
+    for module, args in ((hmc, (0.2, 3)), (ghmc, (0.2,)), (nuts, (0.2,))):
+        monkeypatch.setattr(module, "identity_metric", counting_identity_metric)
+        algorithm = module.as_algorithm(target, *args)
+        run_chain(make_key(0), algorithm.step, algorithm.init(np.zeros(3)), 20)
+    assert built == [3, 3, 3]
+
+
+_SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=st.one_of(st.tuples(_SCALARS, _SCALARS), _SCALARS.map(lambda x: (x, x))))
+def test_nuts_scalar_logaddexp_matches_numpy_bitwise(pair):
+    x, y = pair
+    with np.errstate(all="ignore"):
+        expected = np.logaddexp(x, y)
+    assert np.float64(nuts._logaddexp(x, y)).tobytes() == np.float64(expected).tobytes()

@@ -21,6 +21,7 @@ from mcbricks.smc.tempering import (
     SmcStagnationError,
     TemperedTarget,
     adaptive_next_lambda,
+    check_settings,
     init_ensemble,
     reweight,
     run_tempered_smc,
@@ -430,3 +431,15 @@ def test_tempered_run_validates_inputs():
         run_tempered_smc(
             key_run, tempered, lambda k, n: normal_matrix(k, n, 2), 10, _rwm_mutation
         )
+
+
+def test_a_stage_budget_below_one_is_rejected_before_any_draw():
+    with pytest.raises(ValueError, match="stage budget"):
+        check_settings(10, 1, 0.5, max_stages=0)
+    tempered, _ = make_tempered("gauss_conjugate", 1, make_key(0))
+
+    def never_called(key, count):
+        raise AssertionError("sampled before the settings were checked")
+
+    with pytest.raises(ValueError, match="stage budget"):
+        run_tempered_smc(make_key(1), tempered, never_called, 10, lambda t: None, max_stages=0)

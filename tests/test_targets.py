@@ -1,11 +1,13 @@
 """Tests for the built-in targets and their analytic companions."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mcbricks.core import gradient_discrepancy
+from mcbricks.core import Target, gradient_discrepancy
 from mcbricks.rng import make_key, normal_matrix
 from mcbricks.targets import (
     CONJUGATE_NUM_OBSERVATIONS,
@@ -25,7 +27,9 @@ from mcbricks.targets import (
     make_logistic_data,
     make_tempered,
     std_normal,
+    _sigmoid,
 )
+from mcbricks.smc import TemperedTarget
 
 # ------------------------------------------------------------- std normal
 
@@ -260,3 +264,163 @@ def test_tempered_conjugate_posterior_matches_the_analytic_one():
             + target.logdensity(posterior_mean - e)
         ) / h**2
         assert second == pytest.approx(-1.0 / posterior_var, rel=1e-6)
+
+
+# ------------------------------------------------- logistic memo, sigmoid
+#
+# Frozen copies of the masked sigmoid and of the logistic terms as they were
+# before the linear predictor was shared between density and gradient.  The
+# shipped target must match them bit for bit, whatever the call order.
+
+
+def _reference_sigmoid(scores):
+    out = np.empty_like(scores, dtype=float)
+    positive = scores >= 0.0
+    out[positive] = 1.0 / (1.0 + np.exp(-scores[positive]))
+    exp_scores = np.exp(scores[~positive])
+    out[~positive] = exp_scores / (1.0 + exp_scores)
+    return out
+
+
+def _reference_terms(data):
+    design, labels = data.design, data.labels
+
+    def loglik(w):
+        scores = design @ w
+        return float(labels @ scores - np.sum(np.logaddexp(0.0, scores)))
+
+    def grad_loglik(w):
+        return design.T @ (labels - _reference_sigmoid(design @ w))
+
+    return loglik, grad_loglik
+
+
+def _reference_targets(key, lmbda):
+    """(builtin, tempered at ``lmbda``, tempered likelihood) as the reference computes them."""
+    loglik, grad_loglik = _reference_terms(make_logistic_data(key))
+    builtin = Target(
+        LOGISTIC_NUM_FEATURES,
+        lambda w: -0.5 * float(w @ w) + loglik(w),
+        lambda w: -w + grad_loglik(w),
+    )
+    tempered = TemperedTarget(
+        LOGISTIC_NUM_FEATURES, lambda w: -0.5 * float(w @ w), lambda w: -w, loglik, grad_loglik
+    )
+    likelihood = Target(LOGISTIC_NUM_FEATURES, loglik, grad_loglik)
+    return builtin, tempered.at_temperature(lmbda), likelihood
+
+
+def _shipped_targets(key, lmbda):
+    tempered, _ = make_tempered("logistic_synth", LOGISTIC_NUM_FEATURES, key)
+    likelihood = Target(LOGISTIC_NUM_FEATURES, tempered.log_likelihood, tempered.grad_likelihood)
+    builtin = make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, key).target
+    return builtin, tempered.at_temperature(lmbda), likelihood
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _positions_with_extreme_scores(seed, count=60):
+    rng = np.random.default_rng(seed)
+    rows = [
+        rng.normal(size=LOGISTIC_NUM_FEATURES) * rng.choice([1e-3, 1.0, 30.0, 1e3, 1e200])
+        for _ in range(count)
+    ]
+    special = [
+        np.zeros(LOGISTIC_NUM_FEATURES),
+        np.full(LOGISTIC_NUM_FEATURES, -0.0),
+        np.array([1e308, 0.0, 0.0, 0.0, 0.0]),
+        np.array([-np.inf, 0.0, 1.0, 0.0, 0.0]),
+        np.array([np.inf, -np.inf, 0.0, 0.0, 0.0]),
+        np.array([np.nan, 0.0, 0.0, 0.0, 0.0]),
+        np.array([-np.nan, 1.0, 0.0, 0.0, 0.0]),
+        np.array([5e-324, -5e-324, 1e-300, 0.0, 0.0]),
+    ]
+    return rows + special
+
+
+def test_sigmoid_matches_the_masked_reference_bitwise():
+    rng = np.random.default_rng(11)
+    special = np.array([800.0, -800.0, 40.0, -40.0, 0.0, -0.0, np.inf, -np.inf,
+                        1e-300, -1e-300, np.nan, -np.nan, 709.8, -745.2])
+    for _ in range(200):
+        scores = rng.normal(size=rng.integers(1, 400)) * rng.choice([0.1, 1.0, 10.0, 1e3])
+        scores = np.concatenate([scores, special])
+        rng.shuffle(scores)
+        before = scores.copy()
+        assert _sigmoid(scores).tobytes() == _reference_sigmoid(scores).tobytes()
+        assert scores.tobytes() == before.tobytes()  # input left alone
+
+
+@pytest.mark.parametrize("order", ["density_first", "gradient_first", "repeated"])
+def test_logistic_memo_matches_the_reference_in_either_call_order(order):
+    key = make_key(3)
+    expected = _reference_targets(key, 0.37)
+    actual = _shipped_targets(key, 0.37)
+    with np.errstate(all="ignore"):
+        for w in _positions_with_extreme_scores(5):
+            for ref, got in zip(expected, actual):
+                want = (_bits(ref.logdensity(w)), _bits(ref.gradient(w)))
+                if order == "density_first":
+                    have = (_bits(got.logdensity(w)), _bits(got.gradient(w)))
+                elif order == "gradient_first":
+                    grad = _bits(got.gradient(w))
+                    have = (_bits(got.logdensity(w)), grad)
+                else:
+                    first = (_bits(got.logdensity(w)), _bits(got.gradient(w)))
+                    have = (_bits(got.logdensity(w.copy())), _bits(got.gradient(w)))
+                    assert first == have
+                assert have == want
+
+
+def test_logistic_memo_sees_a_position_changed_in_place():
+    """As in the SMC mutation loop, a row view is rewritten between calls."""
+    key = make_key(4)
+    ref, ref_tempered, _ = _reference_targets(key, 0.5)
+    got, tempered, _ = _shipped_targets(key, 0.5)
+    rows = np.array(_positions_with_extreme_scores(6, count=20))
+    replacements = rows[::-1].copy()
+    with np.errstate(all="ignore"):
+        for i in range(rows.shape[0]):
+            view = rows[i]
+            got.logdensity(view)
+            tempered.gradient(view)
+            view[:] = replacements[i]
+            assert _bits(got.gradient(view)) == _bits(ref.gradient(replacements[i]))
+            assert _bits(tempered.logdensity(view)) == _bits(
+                ref_tempered.logdensity(replacements[i])
+            )
+            assert _bits(got.logdensity(view)) == _bits(ref.logdensity(replacements[i]))
+
+
+def test_logistic_memo_is_safe_for_threads_sharing_one_target():
+    """More threads than cores alternate positions on one target, switching often."""
+    key = make_key(5)
+    ref, _, _ = _reference_targets(key, 1.0)
+    got, _, _ = _shipped_targets(key, 1.0)
+    banks = [_positions_with_extreme_scores(seed, count=30) for seed in (7, 8, 9, 10)]
+    with np.errstate(all="ignore"):
+        expected = [[(_bits(ref.logdensity(w)), _bits(ref.gradient(w))) for w in bank]
+                    for bank in banks]
+    mismatches = [0] * len(banks)
+
+    def worker(index):
+        with np.errstate(all="ignore"):
+            for _ in range(20):
+                for w, want in zip(banks[index], expected[index]):
+                    if (_bits(got.logdensity(w)), _bits(got.gradient(w))) != want:
+                        mismatches[index] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(banks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [0] * len(banks)
