@@ -213,8 +213,10 @@ def find_reasonable_step_size(
 
     Evaluates the one-leapfrog acceptance ratio from ``state`` with a
     single momentum drawn from ``key``, then moves the step by factors of
-    two in the direction that brings the ratio toward 0.5.  Raises
-    :class:`StepSizeSearchError` after 64 iterations without a crossing.
+    two in the direction that brings the ratio toward 0.5.  The search
+    runs over the whole double range: it raises :class:`StepSizeSearchError`
+    only when the next trial step would overflow to infinity or underflow
+    to zero without a crossing.
     """
     if initial <= 0.0:
         raise ValueError("initial step size must be strictly positive")
@@ -232,13 +234,16 @@ def find_reasonable_step_size(
     # Extreme trial steps overflow; the energy rule turns that into +inf.
     with np.errstate(over="ignore", invalid="ignore"):
         direction = 1 if acceptance(step) > 0.5 else -1
-        for _ in range(64):
+        while True:
             step = step * 2.0 if direction == 1 else step * 0.5
+            if not 0.0 < step < math.inf:
+                break
             ratio = acceptance(step)
             if (direction == 1 and ratio <= 0.5) or (direction == -1 and ratio >= 0.5):
                 return step
+    bound = "overflowed" if direction == 1 else "underflowed"
     raise StepSizeSearchError(
-        "no step size bracketing 0.5 acceptance after 64 doublings/halvings"
+        f"no step size bracketing 0.5 acceptance from {initial!r}: the trial step {bound}"
     )
 
 

@@ -401,7 +401,12 @@ def _cmd_run_smc(args: argparse.Namespace) -> int:
         resample_method=args.resample, target_ess_ratio=args.target_ess_ratio,
         max_stages=args.max_stages,
     )
-    extras = {"smc": {"ladder": result.ladder, "log_z": result.log_z}}
+    stages = [
+        {"lambda": info.lmbda, "ess": info.ess, "mean_acceptance": info.mean_acceptance,
+         "log_z_increment": info.log_z_increment}
+        for info in result.stages
+    ]
+    extras = {"smc": {"ladder": result.ladder, "log_z": result.log_z, "stages": stages}}
     if name == "gauss_conjugate":
         extras["smc"]["analytic_log_evidence"] = conjugate_gaussian_log_evidence(
             details["observations"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "AcceptanceInfo",
     "ChainError",
     "init",
+    "evaluate_rows",
     "bind",
     "run_chain",
     "gradient_discrepancy",
@@ -77,7 +78,11 @@ class ApproxAlgorithm(NamedTuple):
 
 
 class GradientState(NamedTuple):
-    """Position with its cached log density and gradient."""
+    """Position with its cached log density and gradient.
+
+    An ensemble state stacks ``n`` of them: positions and gradients
+    ``(n, dim)``, log densities ``(n,)``.
+    """
 
     position: np.ndarray
     logdensity: float
@@ -94,13 +99,43 @@ class AcceptanceInfo(NamedTuple):
 
 
 def init(position: np.ndarray, target: Target) -> GradientState:
-    """Evaluate the target at ``position`` and cache both results."""
+    """Evaluate the target at ``position`` and cache both results.
+
+    An ``(n, dim)`` matrix of positions gives the ensemble state of its rows.
+    """
     position = np.asarray(position, dtype=float)
+    if position.ndim == 2:
+        return GradientState(position, *evaluate_rows(position, target.logdensity, target.gradient))
     return GradientState(
         position,
         float(target.logdensity(position)),
         np.asarray(target.gradient(position), dtype=float),
     )
+
+
+def evaluate_rows(
+    positions: np.ndarray,
+    logdensity: Callable[[np.ndarray], float],
+    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Log densities ``(n,)`` and gradients ``(n, dim)`` of the rows of ``positions``.
+
+    Target callables take one position, so this is a loop over rows, the
+    only one on the ensemble path.  Each row's density is asked for just
+    before its gradient, so a target that shares work between the two calls
+    for one position (as ``logistic_synth`` does) still can.  Without
+    ``gradient`` the second result is ``None``.
+    """
+    densities = np.empty(positions.shape[0])
+    if gradient is None:
+        for i, position in enumerate(positions):
+            densities[i] = float(logdensity(position))
+        return densities, None
+    gradients = np.empty(positions.shape)
+    for i, position in enumerate(positions):
+        densities[i] = float(logdensity(position))
+        gradients[i] = gradient(position)
+    return densities, gradients
 
 
 def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple]) -> SamplingAlgorithm:

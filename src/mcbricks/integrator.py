@@ -10,6 +10,13 @@ The metric is the mass matrix M of the momentum distribution N(0, M),
 with kinetic energy ``0.5 * p^T M^{-1} p``.  Identity and diagonal metrics
 store the inverse mass as a vector; dense metrics store the full inverse
 mass matrix plus a Cholesky factor of M for momentum sampling.
+
+``kinetic_energy``, ``sample_momentum``, ``velocity``, ``leapfrog`` and
+``trajectory`` also take an ensemble: positions, momenta and gradients as
+``(n, dim)`` matrices, log densities and energies as ``(n,)`` vectors, and
+one key per row for momentum draws.  Each row comes out bit for bit as the
+single-state call on that row would give it.  ``total_energy`` stays
+single-state; ensemble kernels apply its rule row by row.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Target, init
-from .rng import RngKey, normal_vector
+from .core import Target, evaluate_rows, init
+from .rng import RngKey, normal_rows, normal_vector
 
 __all__ = [
     "Metric",
@@ -53,7 +60,10 @@ class Metric(NamedTuple):
 
 
 class IntegratorState(NamedTuple):
-    """Phase-space point with cached target evaluations at ``position``."""
+    """Phase-space point with cached target evaluations at ``position``.
+
+    An ensemble state stacks ``n`` points, as :class:`~mcbricks.core.GradientState` does.
+    """
 
     position: np.ndarray
     momentum: np.ndarray
@@ -101,29 +111,49 @@ def integrator_state(target: Target, position: np.ndarray, momentum: np.ndarray)
     return IntegratorState(position, np.asarray(momentum, dtype=float), logdensity, gradient)
 
 
+def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    # ``matrix @ v`` for a vector or for each row of a matrix; the stacked
+    # product runs the same matrix-vector kernel once per row.
+    if vectors.ndim == 1:
+        return matrix @ vectors
+    return np.matmul(matrix, vectors[:, :, None])[:, :, 0]
+
+
 def kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
-    """``0.5 * p^T M^{-1} p``; non-negative for valid metrics."""
+    """``0.5 * p^T M^{-1} p``; non-negative for valid metrics.
+
+    An ``(n, dim)`` matrix of momenta gives the ``(n,)`` energies of its rows.
+    """
     momentum = np.asarray(momentum, dtype=float)
-    if momentum.shape[0] != metric.inverse_mass.shape[0]:
+    if momentum.shape[-1] != metric.inverse_mass.shape[0]:
         raise ValueError("momentum and metric dimensions disagree")
+    if momentum.ndim == 2:
+        if metric.kind == "dense":
+            products = _matvec(metric.inverse_mass, momentum)
+            return 0.5 * np.array([p @ v for p, v in zip(momentum, products)])
+        return 0.5 * (metric.inverse_mass * momentum * momentum).sum(axis=-1)
     if metric.kind == "dense":
         return 0.5 * float(momentum @ (metric.inverse_mass @ momentum))
     return 0.5 * float((metric.inverse_mass * momentum * momentum).sum())
 
 
 def sample_momentum(key: RngKey, metric: Metric) -> np.ndarray:
-    """Draw ``p ~ N(0, M)`` as ``mass_cholesky @ z`` with standard-normal z."""
+    """Draw ``p ~ N(0, M)`` as ``mass_cholesky @ z`` with standard-normal z.
+
+    A key array (one key per row, see :func:`mcbricks.rng.key_rows`) draws
+    an ``(n, dim)`` matrix of momenta.
+    """
     dim = metric.inverse_mass.shape[0]
-    z = normal_vector(key, dim)
+    z = normal_rows(key, dim) if isinstance(key, np.ndarray) else normal_vector(key, dim)
     if metric.kind == "dense":
-        return metric.mass_cholesky @ z
+        return _matvec(metric.mass_cholesky, z)
     return metric.mass_cholesky * z
 
 
 def velocity(momentum: np.ndarray, metric: Metric) -> np.ndarray:
     """``M^{-1} p``, the position drift rate."""
     if metric.kind == "dense":
-        return metric.inverse_mass @ momentum
+        return _matvec(metric.inverse_mass, momentum)
     return metric.inverse_mass * momentum
 
 
@@ -147,7 +177,9 @@ def leapfrog(
     """One velocity-Verlet step: half kick, drift, half kick.
 
     Costs one fresh gradient evaluation; the incoming state's cached
-    gradient supplies the first half kick.  Non-finite values propagate to
+    gradient supplies the first half kick.  An ensemble state moves every
+    row, evaluating the target row by row through
+    :func:`~mcbricks.core.evaluate_rows`.  Non-finite values propagate to
     the returned state and are absorbed by the acceptance atoms downstream,
     so overflow here is expected behaviour, not worth a warning.  The caller
     owns ``np.errstate``: the drivers (``run_chain``, the SMC mutation loop,
@@ -158,8 +190,11 @@ def leapfrog(
     half = 0.5 * step_size
     p_half = state.momentum + half * state.gradient
     position = state.position + step_size * velocity(p_half, metric)
-    logdensity = float(target.logdensity(position))
-    gradient = np.asarray(target.gradient(position), dtype=float)
+    if position.ndim == 1:
+        logdensity = float(target.logdensity(position))
+        gradient = np.asarray(target.gradient(position), dtype=float)
+    else:
+        logdensity, gradient = evaluate_rows(position, target.logdensity, target.gradient)
     momentum = p_half + half * gradient
     return IntegratorState(position, momentum, logdensity, gradient)
 

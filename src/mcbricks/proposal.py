@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from .rng import RngKey, uniform
 
 __all__ = [
@@ -26,7 +28,9 @@ __all__ = [
     "make_proposal",
     "safe_energy_diff",
     "asymmetric_log_ratio",
+    "binomial_decision",
     "binomial_accept",
+    "select_rows",
     "nonreversible_slice_accept",
     "perturb_slice",
 ]
@@ -87,6 +91,20 @@ def asymmetric_log_ratio(
     return ratio
 
 
+def binomial_decision(u: float, log_ratio: float) -> tuple[bool, float]:
+    """The rule of :func:`binomial_accept` for a uniform ``u`` already drawn.
+
+    Returns ``(accepted, p_accept)``.  A NaN log ratio is a rejection with
+    ``p_accept = 0``.  Ensemble kernels draw one uniform per row with
+    :func:`mcbricks.rng.uniform_rows` and apply this row by row, so every
+    decision is taken in Python ``math`` exactly as for a single state.
+    """
+    if math.isnan(log_ratio):
+        return False, 0.0
+    p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
+    return u < p_accept, p_accept
+
+
 def binomial_accept(
     key: RngKey,
     log_ratio: float,
@@ -100,12 +118,21 @@ def binomial_accept(
     ``uniform(key) < p_accept``.  A non-negative log ratio therefore always
     accepts (uniform draws live on [0, 1)).
     """
-    if math.isnan(log_ratio):
-        return current, False, 0.0
-    p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
-    if uniform(key) < p_accept:
-        return proposed, True, p_accept
-    return current, False, p_accept
+    accepted, p_accept = binomial_decision(uniform(key), log_ratio)
+    return (proposed if accepted else current), accepted, p_accept
+
+
+def select_rows(accepted: list[bool], proposed: Any, current: Any) -> Any:
+    """Ensemble state taking row i from ``proposed`` where ``accepted[i]``, else from ``current``.
+
+    Works field by field on any state tuple whose fields stack rows along
+    their first axis; every value is copied, never recomputed.
+    """
+    mask = np.asarray(accepted, dtype=bool)
+    return type(current)(*(
+        np.where(mask.reshape((-1,) + (1,) * (np.ndim(old) - 1)), new, old)
+        for new, old in zip(proposed, current)
+    ))
 
 
 def nonreversible_slice_accept(

@@ -19,6 +19,18 @@ mixing function is the SplitMix64 finalizer, whose output is
 equidistributed and passes standard statistical batteries.  Uniform doubles
 take the top 53 bits of a word; normal draws pair two uniforms through the
 Box-Muller transform.
+
+Because every draw is a pure function of a counter and a key (the
+counter-based scheme of Salmon et al. 2011, doi:10.1145/2063384.2063405),
+many keys can be served at once.  A key array holds one key per row as an
+``(n, 2)`` ``uint64`` matrix (``hi``, ``lo``); :func:`key_rows` builds one
+from :class:`RngKey` values.  :func:`split_key_rows`, :func:`fold_in_rows`,
+:func:`uniform_rows` and :func:`normal_rows` run the scalar functions'
+arithmetic on whole arrays, and row i of their result is bit for bit the
+scalar function's result for key i.  Ensembles (the SMC particle cloud)
+draw through them, so particle i keeps exactly the stream a loop over
+particles would give it.  The scalar functions are unchanged by this and
+stay the fast path for a single chain.
 """
 
 from __future__ import annotations
@@ -39,6 +51,11 @@ __all__ = [
     "normal_vector",
     "normal_matrix",
     "permutation",
+    "key_rows",
+    "split_key_rows",
+    "fold_in_rows",
+    "uniform_rows",
+    "normal_rows",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -122,8 +139,9 @@ def _counter_steps(count: int) -> np.ndarray:
     return steps
 
 
-def _words_np(seed: int, count: int) -> np.ndarray:
+def _words_np(seed, count: int) -> np.ndarray:
     # Words 0..count-1 of the stream, as a fresh array the caller may modify.
+    # A column of n seeds (shape (n, 1)) gives the (n, count) words of n streams.
     if count <= _MAX_CACHED_STEPS:
         steps = _counter_steps(count)
     else:
@@ -242,3 +260,88 @@ def permutation(key: RngKey, num: int) -> np.ndarray:
         raise ValueError("permutation size must be non-negative")
     words = _words_np(_stream_seed(key, _TAG_PERMUTATION), num)
     return np.argsort(words, kind="stable")
+
+
+# ----------------------------------------------------------------------
+# One key per row.  A key array has shape ``(n, 2)``: column 0 holds the
+# ``hi`` words and column 1 the ``lo`` words, as ``uint64``.  Each function
+# below is the scalar function of the same stem applied to every row, bit
+# for bit, with the per-row arithmetic done in a handful of array calls.
+
+
+def key_rows(keys) -> np.ndarray:
+    """Stack :class:`RngKey` values into an ``(n, 2)`` ``uint64`` key array."""
+    rows = np.array(list(keys), dtype=np.uint64)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError("key rows need one (hi, lo) pair per row")
+    return rows
+
+
+def _stream_seed_rows(keys: np.ndarray, tag: int) -> np.ndarray:
+    # _stream_seed on every row: three _mix64 rounds folding in hi, lo, tag.
+    z = _mix64_np(keys[:, 0] + _NP_GOLDEN)
+    z ^= keys[:, 1]
+    _mix64_np(z)
+    z ^= np.uint64(tag * _GOLDEN & _MASK64)
+    return _mix64_np(z)
+
+
+def split_key_rows(keys: np.ndarray, num: int) -> np.ndarray:
+    """``split_key`` on every row: shape ``(n, num, 2)``, child j of row i at ``[i, j]``."""
+    if num < 1:
+        raise ValueError("cannot split into fewer than one key")
+    words = _words_np(_stream_seed_rows(keys, _TAG_SPLIT)[:, None], 2 * num)
+    return words.reshape(keys.shape[0], num, 2)
+
+
+def fold_in_rows(keys: np.ndarray, index: int) -> np.ndarray:
+    """``fold_in(key, index)`` on every row, as an ``(n, 2)`` key array."""
+    if index < 0:
+        raise ValueError("child index must be non-negative")
+    seed = _stream_seed_rows(keys, _TAG_SPLIT)
+    children = np.empty((keys.shape[0], 2), dtype=np.uint64)
+    children[:, 0] = seed + np.uint64(2 * index * _GOLDEN & _MASK64)
+    children[:, 1] = seed + np.uint64((2 * index + 1) * _GOLDEN & _MASK64)
+    return _mix64_np(children)
+
+
+def uniform_rows(keys: np.ndarray) -> np.ndarray:
+    """``uniform`` on every row: one double on [0, 1) per key."""
+    words = _mix64_np(_stream_seed_rows(keys, _TAG_UNIFORM))
+    words >>= _NP_11
+    draws = words.astype(np.float64)
+    draws *= _INV_2_53
+    return draws
+
+
+def normal_rows(keys: np.ndarray, num: int) -> np.ndarray:
+    """``normal_vector(key, num)`` on every row, shaped ``(n, num)``.
+
+    The Box-Muller steps are those of :func:`normal_vector`, applied in
+    place to the same strided views, so each row gets the scalar draws.
+    """
+    if num < 0:
+        raise ValueError("draw count must be non-negative")
+    if num == 0:
+        return np.zeros((keys.shape[0], 0))
+    pairs = (num + 1) // 2
+    seed = _stream_seed_rows(keys, _TAG_NORMAL)
+    seed += np.uint64(num * _GOLDEN & _MASK64)
+    words = _words_np(_mix64_np(seed)[:, None], 2 * pairs)
+    words >>= _NP_11
+    uniforms = words.astype(np.float64)
+    uniforms *= _INV_2_53
+    radius = uniforms[:, 0::2]
+    radius += _INV_2_53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = uniforms[:, 1::2]
+    angle *= 2.0 * math.pi
+    out = np.empty((keys.shape[0], 2 * pairs))
+    even, odd = out[:, 0::2], out[:, 1::2]
+    np.cos(angle, out=even)
+    even *= radius
+    np.sin(angle, out=odd)
+    odd *= radius
+    return out[:, :num]

@@ -7,6 +7,12 @@ accumulates the normalizing-constant increment, resamples, and then moves
 every particle independently with a user-chosen MCMC mutation kernel
 targeting the tempered density.  Mutation hyperparameters are fixed for
 the whole run; the kernels themselves never adapt inside SMC.
+
+The particle cloud moves as one ensemble, the NumPy counterpart of mapping
+a single-chain kernel over particles with ``vmap``: the mutation's ``init``
+takes the whole ``(n, dim)`` particle matrix and its ``step`` one key per
+row, and particle i gets exactly the moves the single-state kernel would
+give it under key i.  The built-in RWM, MALA and HMC kernels do this.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..core import SamplingAlgorithm, Target
-from ..rng import RngKey, fold_in, split_key
+from ..core import SamplingAlgorithm, Target, evaluate_rows
+from ..rng import RngKey, fold_in, fold_in_rows, key_rows, split_key
 from .resampling import _logsumexp, ess, resample
 
 __all__ = [
@@ -81,9 +87,17 @@ class TemperedTarget:
 
 
 class SmcInfo(NamedTuple):
+    """Record of one tempering stage.
+
+    The new lambda, the ESS after reweighting and before resampling, the
+    mean mutation acceptance (NaN without mutation steps) and the stage's
+    increment of ``log_z``.
+    """
+
     lmbda: float
     ess: float
     mean_acceptance: float
+    log_z_increment: float
 
 
 class SmcStagnationError(RuntimeError):
@@ -191,49 +205,51 @@ def smc_step(
     """One tempering stage: choose lambda, reweight, resample, mutate.
 
     ``mutation`` maps the stage's tempered :class:`~mcbricks.core.Target`
-    to a :class:`~mcbricks.core.SamplingAlgorithm`; it runs
-    ``num_mutation_steps`` transitions independently per particle under
-    split keys.  Resampling happens every stage, so post-step weights are
-    uniform.  The info records the new lambda, the ensemble's ESS after
-    reweighting but before resampling, and the mean mutation acceptance
-    (NaN when no mutation steps run).
+    to a :class:`~mcbricks.core.SamplingAlgorithm` whose ``init`` takes the
+    whole ``(n, dim)`` particle matrix and whose ``step`` takes an
+    ``(n, 2)`` key array (one key per particle, see
+    :func:`mcbricks.rng.key_rows`) and returns the ensemble state with one
+    info record per particle.  Particle i's j-th move runs under
+    ``fold_in(split_key(key_mutate, n)[i], j)``, the key a per-particle loop
+    would give it.  Resampling happens every stage, so post-step weights
+    are uniform.  The info records the new lambda, the ensemble's ESS after
+    reweighting but before resampling, the mean mutation acceptance (NaN
+    when no mutation steps run; an exactly rounded mean, so it does not
+    depend on the order the rows are summed in) and the log-Z increment.
     """
     if num_mutation_steps < 0:
         raise ValueError("mutation step count must be non-negative")
     particles = ensemble.particles
     num = particles.shape[0]
-    log_likelihoods = np.array(
-        [float(tempered_target.log_likelihood(p)) for p in particles]
-    )
+    log_likelihoods = evaluate_rows(particles, tempered_target.log_likelihood)[0]
     new_lambda = adaptive_next_lambda(ensemble, log_likelihoods, target_ess_ratio)
     reweighted = reweight(ensemble, log_likelihoods, new_lambda)
+    increment = _logsumexp(reweighted.log_weights) - _logsumexp(ensemble.log_weights)
     pre_resample_ess = ess(reweighted.log_weights)
     key_resample, key_mutate = split_key(key, 2)
     ancestors = resample(key_resample, reweighted.log_weights, num, resample_method)
-    mutated = reweighted.particles[ancestors].copy()
-    accept_total = 0.0
-    accept_count = 0
+    mutated = reweighted.particles[ancestors]
+    p_accepts: list[float] = []
     if num_mutation_steps > 0:
         algorithm = mutation(tempered_target.at_temperature(new_lambda))
-        particle_keys = split_key(key_mutate, num)
+        particle_keys = key_rows(split_key(key_mutate, num))
         # As in run_chain: the kernels absorb non-finite arithmetic.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(num):
-                state = algorithm.init(mutated[i])
-                for j in range(num_mutation_steps):
-                    state, info = algorithm.step(fold_in(particle_keys[i], j), state)
-                    accept_total += float(info.p_accept)
-                    accept_count += 1
-                mutated[i] = state.position
-    mean_acceptance = accept_total / accept_count if accept_count else math.nan
+            state = algorithm.init(mutated)
+            for j in range(num_mutation_steps):
+                state, infos = algorithm.step(fold_in_rows(particle_keys, j), state)
+                p_accepts.extend(float(info.p_accept) for info in infos)
+        mutated = state.position
+    mean_acceptance = math.fsum(p_accepts) / len(p_accepts) if p_accepts else math.nan
     result = ParticleEnsemble(mutated, np.zeros(num), new_lambda, reweighted.log_z)
-    return result, SmcInfo(new_lambda, pre_resample_ess, mean_acceptance)
+    return result, SmcInfo(new_lambda, pre_resample_ess, mean_acceptance, increment)
 
 
 class TemperedSmcResult(NamedTuple):
     ensemble: ParticleEnsemble
     ladder: list[float]
     log_z: float
+    stages: list[SmcInfo]
 
 
 def run_tempered_smc(
@@ -251,9 +267,10 @@ def run_tempered_smc(
 
     ``initial_sampler(key, n)`` draws n prior samples as an (n, dim)
     matrix.  Returns the final ensemble, the realized ladder (excluding
-    the starting 0), and the accumulated log normalizing constant.  The
-    bisection contract makes lambda strictly increase, so the run
-    terminates; ``max_stages`` guards against non-progress regardless.
+    the starting 0), the accumulated log normalizing constant, and every
+    stage's :class:`SmcInfo`.  The bisection contract makes lambda strictly
+    increase, so the run terminates; ``max_stages`` guards against
+    non-progress regardless.
     """
     check_settings(num_particles, num_mutation_steps, target_ess_ratio, max_stages)
     key_init, key_stages = split_key(key, 2)
@@ -261,7 +278,7 @@ def run_tempered_smc(
     if particles.shape != (num_particles, tempered_target.dim):
         raise ValueError("initial sampler returned a wrongly shaped matrix")
     ensemble = init_ensemble(particles)
-    ladder: list[float] = []
+    stages: list[SmcInfo] = []
     for stage in range(max_stages):
         ensemble, info = smc_step(
             fold_in(key_stages, stage),
@@ -272,7 +289,8 @@ def run_tempered_smc(
             resample_method,
             target_ess_ratio,
         )
-        ladder.append(info.lmbda)
+        stages.append(info)
         if ensemble.lmbda >= 1.0:
-            return TemperedSmcResult(ensemble, ladder, ensemble.log_z)
+            ladder = [stage_info.lmbda for stage_info in stages]
+            return TemperedSmcResult(ensemble, ladder, ensemble.log_z, stages)
     raise SmcStagnationError(f"ladder did not reach 1.0 in {max_stages} stages")

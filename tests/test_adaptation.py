@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mcbricks.adaptation import (
     build_schedule,
@@ -25,10 +26,11 @@ from mcbricks.integrator import (
     kinetic_energy,
     leapfrog,
     sample_momentum,
+    total_energy,
 )
 from mcbricks.mcmc import hmc
-from mcbricks.rng import make_key, normal_matrix
-from mcbricks.targets import std_normal
+from mcbricks.rng import make_key, normal_matrix, split_key
+from mcbricks.targets import aniso_gauss, std_normal
 
 # ------------------------------------------------------------ dual averaging
 
@@ -370,3 +372,49 @@ def test_step_size_search_through_an_overflow_raises_no_warning():
         warnings.simplefilter("error")
         step = find_reasonable_step_size(make_key(0), target, state, identity_metric(2), 1e140)
     assert 1e150 < step < 1e160
+
+
+def _search_with_64_moves(key, target, state, metric, initial):
+    """The step-size search as it was with a budget of 64 moves (None when spent)."""
+    momentum = sample_momentum(key, metric)
+    start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
+    energy_start = -start.logdensity + kinetic_energy(momentum, metric)
+
+    def acceptance(step):
+        energy_end = total_energy(leapfrog(start, step, metric, target), metric)
+        if energy_end == math.inf:
+            return 0.0
+        return math.exp(min(energy_start - energy_end, 700.0))
+
+    step = float(initial)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direction = 1 if acceptance(step) > 0.5 else -1
+        for _ in range(64):
+            step = step * 2.0 if direction == 1 else step * 0.5
+            ratio = acceptance(step)
+            if (direction == 1 and ratio <= 0.5) or (direction == -1 and ratio >= 0.5):
+                return step
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))
+def test_step_search_gives_what_the_64_move_search_gave_whenever_that_succeeded(exponent, seed,
+                                                                                 dim):
+    target = aniso_gauss(dim).target if dim > 1 else std_normal(1).target
+    key_start, key_search = split_key(make_key(seed), 2)
+    state = hmc.init(normal_matrix(key_start, 1, dim)[0], target)
+    metric = identity_metric(dim)
+    initial = 10.0 ** exponent
+    reference = _search_with_64_moves(key_search, target, state, metric, initial)
+    assume(reference is not None)
+    assert find_reasonable_step_size(key_search, target, state, metric, initial) == reference
+
+
+@pytest.mark.parametrize("initial", [1e30, 1e300, 1e-30, 1e-300, 5e-324])
+def test_step_search_reaches_a_workable_step_from_anywhere_in_the_double_range(initial):
+    target = std_normal(3).target
+    state = hmc.init(np.full(3, 0.5), target)
+    assert _search_with_64_moves(make_key(2), target, state, identity_metric(3), initial) is None
+    step = find_reasonable_step_size(make_key(2), target, state, identity_metric(3), initial)
+    assert 0.1 < step < 10.0

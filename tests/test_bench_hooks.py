@@ -8,6 +8,7 @@ some other way would leave the benchmark counting zero steps or gradients;
 these tests fail instead.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -72,3 +73,36 @@ def test_traced_vi_run_counts_every_density_and_gradient(tmp_path):
     assert code == 0
     counts = tracer.eval_counts()
     assert (counts["density"], counts["gradient"]) == (80, 80)
+
+
+@pytest.mark.parametrize("mutation, particles, moves, leapfrogs", [
+    ("hmc", 12, 3, 4),
+    ("mala", 12, 3, 1),
+    ("rwm", 12, 3, 1),
+    ("hmc", 100, 5, 10),  # the smc_logistic_hmc benchmark line: 31200 and 30600 at seed 1
+])
+def test_traced_smc_run_counts_every_row_of_the_ensemble(tmp_path, mutation, particles, moves,
+                                                         leapfrogs):
+    """Stepping the particle cloud as one ensemble hides no evaluation.
+
+    Each of S stages evaluates the likelihood of every particle to reweight,
+    the tempered density and gradient of every particle to start the
+    mutation, and then one density and gradient per particle and leapfrog
+    (HMC) or per move (MALA); RWM asks for densities only.  The traced
+    kernel is called once per move, for the whole ensemble.
+    """
+    tracer = tracing.Tracer()
+    argv = ["run-smc", "--target", "logistic_synth", "--mutation", mutation,
+            "--num-particles", str(particles), "--num-mutation-steps", str(moves),
+            "--num-integration-steps", str(leapfrogs), "--seed", "1",
+            "--output-dir", str(tmp_path)]
+    code, _ = tracing.run_cli(argv, tracer)
+    assert code == 0
+    stages = len(json.loads((tmp_path / "summary.json").read_text())["smc"]["ladder"])
+    per_move = moves * (leapfrogs if mutation == "hmc" else 1)
+    counts = tracer.eval_counts()
+    assert counts["density"] == stages * particles * (2 + per_move)
+    assert counts["gradient"] == (0 if mutation == "rwm" else stages * particles * (1 + per_move))
+    assert tracer.kernel["steps"] == stages * moves
+    if (mutation, particles) == ("hmc", 100):
+        assert stages == 6 and (counts["density"], counts["gradient"]) == (31200, 30600)

@@ -515,3 +515,34 @@ def test_overflowing_runs_raise_no_runtime_warning(tmp_path, argv):
         code, out_dir = _run_cli(tmp_path, "out", argv)
     assert code == 0
     assert (out_dir / "samples.csv").exists()
+
+
+def test_step_size_far_outside_the_workable_range_still_runs(tmp_path):
+    code, _ = _run_cli(tmp_path, "far", [
+        "run", "--algorithm", "nuts", "--target", "logistic_synth", "--step-size", "1e30",
+        "--num-warmup", "100", "--num-samples", "20", "--num-chains", "2", "--seed", "2",
+    ])
+    assert code == 0
+
+
+@pytest.mark.parametrize("mutation, steps", [("rwm", "2"), ("hmc", "2"), ("rwm", "0")])
+def test_smc_summary_records_every_stage(tmp_path, mutation, steps):
+    code, out_dir = _run_cli(tmp_path, "smc", [
+        "run-smc", "--target", "gauss_conjugate", "--dim", "3", "--num-particles", "64",
+        "--mutation", mutation, "--num-mutation-steps", steps, "--seed", "4",
+    ])
+    assert code == 0
+    smc = json.loads((out_dir / "summary.json").read_text())["smc"]
+    stages = smc["stages"]
+    assert [stage["lambda"] for stage in stages] == smc["ladder"]
+    assert all(set(stage) == {"lambda", "ess", "mean_acceptance", "log_z_increment"}
+               for stage in stages)
+    assert all(0.0 < stage["ess"] <= 64.0 for stage in stages)
+    if steps == "0":
+        assert all(stage["mean_acceptance"] is None for stage in stages)
+    else:
+        assert all(0.0 <= stage["mean_acceptance"] <= 1.0 for stage in stages)
+    log_z = 0.0
+    for stage in stages:
+        log_z += stage["log_z_increment"]
+    assert log_z == smc["log_z"]

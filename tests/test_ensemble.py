@@ -1,0 +1,315 @@
+"""The ensemble path against the single-state path, row by row and bit for bit.
+
+SMC moves its particle cloud as one ensemble: key arrays with one key per
+row, ``(n, dim)`` states, and kernels that step every row at once.  Row i
+must come out exactly as the single-state function gives it for key i and
+state i, so these properties compare bytes, never tolerances.
+"""
+
+import math
+import struct
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mcbricks.core import GradientState, Target, evaluate_rows, init
+from mcbricks.integrator import dense_metric, diagonal_metric
+from mcbricks.mcmc import hmc, mala, rwm
+from mcbricks.rng import (
+    RngKey,
+    fold_in,
+    fold_in_rows,
+    key_rows,
+    make_key,
+    normal_matrix,
+    normal_rows,
+    normal_vector,
+    split_key,
+    split_key_rows,
+    uniform,
+    uniform_rows,
+)
+from mcbricks.smc.resampling import ess, resample
+from mcbricks.smc.tempering import adaptive_next_lambda, init_ensemble, reweight, smc_step
+from mcbricks.targets import make_tempered, std_normal
+
+_WORD = st.integers(0, 2**64 - 1)
+_KEY = st.builds(RngKey, _WORD, _WORD)
+_KEYS = st.lists(_KEY, min_size=1, max_size=12)
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+# ------------------------------------------------------------- key rows
+
+
+def test_key_rows_round_trip_and_shape_check():
+    keys = split_key(make_key(3), 5)
+    rows = key_rows(keys)
+    assert rows.dtype == np.uint64 and rows.shape == (5, 2)
+    assert [RngKey(int(hi), int(lo)) for hi, lo in rows] == keys
+    with pytest.raises(ValueError):
+        key_rows([])
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=_KEYS, num=st.integers(1, 130))
+@example(keys=[RngKey(0, 0), RngKey(2**64 - 1, 2**64 - 1)], num=8)
+@example(keys=[RngKey(0, 0), RngKey(2**64 - 1, 2**64 - 1)], num=9)
+def test_split_key_rows_match_split_key(keys, num):
+    children = split_key_rows(key_rows(keys), num)
+    assert children.shape == (len(keys), num, 2)
+    for key, row in zip(keys, children):
+        assert [RngKey(int(hi), int(lo)) for hi, lo in row] == split_key(key, num)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=_KEYS, index=st.integers(0, 10**6))
+def test_fold_in_rows_match_fold_in(keys, index):
+    children = fold_in_rows(key_rows(keys), index)
+    assert children.shape == (len(keys), 2)
+    for key, (hi, lo) in zip(keys, children):
+        assert RngKey(int(hi), int(lo)) == fold_in(key, index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=_KEYS)
+def test_uniform_rows_match_uniform(keys):
+    draws = uniform_rows(key_rows(keys))
+    assert [_bits(u) for u in draws] == [_bits(uniform(key)) for key in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=_KEYS, num=st.integers(0, 130))
+@example(keys=[RngKey(1, 2)] * 3, num=1)
+@example(keys=[RngKey(1, 2), RngKey(3, 4)], num=2)
+def test_normal_rows_match_normal_vector(keys, num):
+    draws = normal_rows(key_rows(keys), num)
+    assert draws.shape == (len(keys), num)
+    for key, row in zip(keys, draws):
+        assert row.tobytes() == normal_vector(key, num).tobytes()
+
+
+def test_row_functions_reject_what_the_scalar_functions_reject():
+    rows = key_rows([make_key(1)])
+    with pytest.raises(ValueError):
+        split_key_rows(rows, 0)
+    with pytest.raises(ValueError):
+        fold_in_rows(rows, -1)
+    with pytest.raises(ValueError):
+        normal_rows(rows, -1)
+
+
+# ------------------------------------------------------------- row evaluation
+
+
+def test_evaluate_rows_asks_each_row_for_density_then_gradient():
+    calls = []
+
+    def logdensity(x):
+        calls.append(("density", float(x[0])))
+        return -0.5 * float(x @ x)
+
+    def gradient(x):
+        calls.append(("gradient", float(x[0])))
+        return -x
+
+    positions = np.arange(6.0).reshape(3, 2)
+    densities, gradients = evaluate_rows(positions, logdensity, gradient)
+    assert calls == [(kind, row) for row in (0.0, 2.0, 4.0) for kind in ("density", "gradient")]
+    np.testing.assert_array_equal(densities, [-0.5, -6.5, -20.5])
+    np.testing.assert_array_equal(gradients, -positions)
+    only, none = evaluate_rows(positions, logdensity)
+    assert none is None and only.tolist() == densities.tolist()
+
+
+# ------------------------------------------------------------- kernels
+
+
+def _walled_gaussian(dim: int) -> Target:
+    """Standard normal whose density is NaN beyond x[0] = 1.5, -inf below -2.5."""
+
+    def logdensity(x):
+        if x[0] > 1.5:
+            return math.nan
+        if x[0] < -2.5:
+            return -math.inf
+        return -0.5 * float(x @ x)
+
+    def gradient(x):
+        return -x if x[0] <= 1.5 else np.full(dim, math.nan)
+
+    return Target(dim, logdensity, gradient)
+
+
+def _tempered_logistic(dim: int) -> Target:
+    tempered, _ = make_tempered("logistic_synth", 5, make_key(4))
+    return tempered.at_temperature(0.37)
+
+
+_TARGETS = {
+    "std_normal": lambda dim: std_normal(dim).target,
+    "walled": _walled_gaussian,
+    "logistic": _tempered_logistic,
+}
+
+
+def _metric(kind: str, dim: int, seed: int):
+    if kind == "identity":
+        return None
+    scales = 0.5 + np.abs(normal_vector(make_key(seed), dim))
+    if kind == "diagonal":
+        return diagonal_metric(scales)
+    factor = normal_matrix(make_key(seed + 1), dim, dim)
+    return dense_metric(factor @ factor.T + dim * np.eye(dim))
+
+
+@st.composite
+def _cases(draw):
+    target_name = draw(st.sampled_from(sorted(_TARGETS)))
+    dim = 5 if target_name == "logistic" else draw(st.integers(1, 6))
+    num = draw(st.integers(1, 9))
+    spread = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    positions = spread * normal_matrix(make_key(seed), num, dim)
+    keys = [draw(_KEY) for _ in range(num)]
+    step = draw(st.one_of(st.floats(1e-3, 2.0), st.sampled_from([1e200, 1e-300])))
+    return _TARGETS[target_name](dim), positions, keys, step, seed
+
+
+def _build(family: str, step: float, metric_kind: str, num_steps: int, dim: int, seed: int):
+    if family == "rwm":
+        return rwm.init, rwm.build_kernel(step)
+    if family == "mala":
+        return init, mala.build_kernel(step)
+    return init, hmc.build_kernel(step, num_steps, _metric(metric_kind, dim, seed))
+
+
+def _row(ensemble, i):
+    return type(ensemble)(*(field[i] for field in ensemble))
+
+
+def _assert_same_state(row_state, state):
+    for field, value in zip(state._fields, state):
+        row_value = getattr(row_state, field)
+        if np.ndim(value) == 0:
+            assert _bits(row_value) == _bits(value), field
+        else:
+            assert np.asarray(row_value).tobytes() == np.asarray(value).tobytes(), field
+
+
+def _assert_same_info(row_info, info):
+    assert type(row_info) is type(info)
+    for field, value in zip(info._fields, info):
+        row_value = getattr(row_info, field)
+        assert type(row_value) is type(value), field
+        if isinstance(value, float):
+            assert _bits(row_value) == _bits(value), field
+        else:
+            assert row_value == value, field
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=_cases(),
+    family=st.sampled_from(["rwm", "mala", "hmc"]),
+    metric_kind=st.sampled_from(["identity", "diagonal", "dense"]),
+    num_steps=st.integers(1, 4),
+)
+def test_ensemble_kernel_matches_the_single_state_kernel(case, family, metric_kind, num_steps):
+    target, positions, keys, step, seed = case
+    init_fn, kernel = _build(family, step, metric_kind, num_steps, target.dim, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The drivers' setting: kernels absorb overflow and invalid values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ensemble = init_fn(positions, target)
+            stepped, infos = kernel(key_rows(keys), ensemble, target)
+            assert len(infos) == len(keys)
+            for i, key in enumerate(keys):
+                state = init_fn(positions[i].copy(), target)
+                _assert_same_state(_row(ensemble, i), state)
+                moved, info = kernel(key, state, target)
+                _assert_same_state(_row(stepped, i), moved)
+                _assert_same_info(infos[i], info)
+
+
+# ------------------------------------------------------------- smc_step
+
+
+def _per_particle_smc_step(key, ensemble, tempered, mutation, num_mutation_steps):
+    """The stage as a loop over particles, each moved by the single-state kernel."""
+    particles = ensemble.particles
+    num = particles.shape[0]
+    log_likelihoods = np.array([float(tempered.log_likelihood(p)) for p in particles])
+    new_lambda = adaptive_next_lambda(ensemble, log_likelihoods)
+    reweighted = reweight(ensemble, log_likelihoods, new_lambda)
+    key_resample, key_mutate = split_key(key, 2)
+    ancestors = resample(key_resample, reweighted.log_weights, num, "systematic")
+    mutated = reweighted.particles[ancestors].copy()
+    algorithm = mutation(tempered.at_temperature(new_lambda))
+    p_accepts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, particle_key in enumerate(split_key(key_mutate, num)):
+            state = algorithm.init(mutated[i])
+            for j in range(num_mutation_steps):
+                state, info = algorithm.step(fold_in(particle_key, j), state)
+                p_accepts.append(info.p_accept)
+            mutated[i] = state.position
+    return mutated, new_lambda, ess(reweighted.log_weights), reweighted.log_z, p_accepts
+
+
+@pytest.mark.parametrize("mutation", [
+    lambda t: rwm.as_algorithm(t, 0.6),
+    lambda t: mala.as_algorithm(t, 0.05),
+    lambda t: hmc.as_algorithm(t, 0.1, 5),
+    lambda t: hmc.as_algorithm(t, 1e200, 2),
+], ids=["rwm", "mala", "hmc", "hmc-overflow"])
+@pytest.mark.parametrize("target_name, dim", [("gauss_conjugate", 1), ("gauss_conjugate", 12),
+                                              ("logistic_synth", 5)])
+def test_smc_step_moves_each_particle_as_a_per_particle_loop_would(mutation, target_name, dim):
+    tempered, _ = make_tempered(target_name, dim, make_key(8))
+    ensemble = init_ensemble(normal_matrix(make_key(9), 40, dim))
+    key = make_key(10)
+    stepped, info = smc_step(key, ensemble, tempered, mutation, num_mutation_steps=3)
+    particles, lmbda, stage_ess, log_z, p_accepts = _per_particle_smc_step(
+        key, ensemble, tempered, mutation, 3
+    )
+    assert stepped.particles.tobytes() == particles.tobytes()
+    assert (info.lmbda, info.ess, stepped.log_z) == (lmbda, stage_ess, log_z)
+    # Exactly rounded: the same mean for the particle-major order of the loop
+    # and for any other order.
+    assert info.mean_acceptance == math.fsum(p_accepts) / len(p_accepts)
+    assert info.mean_acceptance == math.fsum(reversed(p_accepts)) / len(p_accepts)
+    assert info.log_z_increment == log_z - ensemble.log_z == log_z
+
+
+def test_smc_step_hands_the_mutation_the_particle_matrix_and_one_key_per_row():
+    tempered, _ = make_tempered("gauss_conjugate", 2, make_key(1))
+    ensemble = init_ensemble(normal_matrix(make_key(2), 16, 2))
+    seen = []
+
+    def mutation(target):
+        algorithm = rwm.as_algorithm(target, 0.5)
+
+        def step(keys, state):
+            seen.append((keys.shape, keys.dtype, state.position.shape))
+            return algorithm.step(keys, state)
+
+        return algorithm._replace(step=step)
+
+    smc_step(make_key(3), ensemble, tempered, mutation, num_mutation_steps=2)
+    assert seen == [((16, 2), np.uint64, (16, 2))] * 2
+
+
+def test_ensemble_state_rows_are_what_init_gives_each_row():
+    target = _tempered_logistic(5)
+    positions = normal_matrix(make_key(6), 7, 5)
+    ensemble = init(positions, target)
+    assert isinstance(ensemble, GradientState)
+    for i in range(7):
+        _assert_same_state(_row(ensemble, i), init(positions[i].copy(), target))

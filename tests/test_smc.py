@@ -443,3 +443,21 @@ def test_a_stage_budget_below_one_is_rejected_before_any_draw():
 
     with pytest.raises(ValueError, match="stage budget"):
         run_tempered_smc(make_key(1), tempered, never_called, 10, lambda t: None, max_stages=0)
+
+
+def test_tempered_run_keeps_every_stage_record():
+    key_data, key_run = split_key(make_key(12), 2)
+    tempered, _ = make_tempered("gauss_conjugate", 2, key_data)
+    result = run_tempered_smc(
+        key_run, tempered, lambda k, n: normal_matrix(k, n, 2), 200,
+        _hmc_mutation, num_mutation_steps=2,
+    )
+    assert len(result.stages) == len(result.ladder) >= 2
+    assert [info.lmbda for info in result.stages] == result.ladder
+    assert all(0.0 < info.ess <= 200.0 for info in result.stages)
+    assert all(0.0 <= info.mean_acceptance <= 1.0 for info in result.stages)
+    # log_z is the running sum of the increments, added in stage order.
+    log_z = 0.0
+    for info in result.stages:
+        log_z += info.log_z_increment
+    assert log_z == result.log_z
