@@ -7,6 +7,12 @@ protocol: ``init`` builds the algorithm state from a starting position,
 ``step`` advances it one transition under an explicit RNG key and returns
 ``(new_state, info)``.  Because steps are pure, running a chain is a plain
 fold and replaying it with the same key reproduces every draw bitwise.
+
+A kernel whose randomness is a fixed set of draws from its key (RWM, MALA,
+HMC, GHMC) carries a *draw atom* as its ``draw`` attribute: it maps an
+``(m, 2)`` key array to one row of randomness per key, and the kernel takes
+such a row in place of the key.  :func:`bind` hands the atom on to the
+step, and :func:`run_chain` uses it to draw a block of steps at once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .rng import RngKey, fold_in, normal_vector, split_key
+from .rng import RngKey, fold_in_range, normal_vector, split_key
 
 __all__ = [
     "Target",
@@ -139,11 +145,19 @@ def evaluate_rows(
 
 
 def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple]) -> SamplingAlgorithm:
-    """Package ``init(position, target)`` and ``kernel(key, state, target)``."""
-    return SamplingAlgorithm(
-        init=partial(init, target=target),
-        step=lambda key, state: kernel(key, state, target),
-    )
+    """Package ``init(position, target)`` and ``kernel(key, state, target)``.
+
+    When the kernel has a draw atom, the step gets it as ``step.draw(keys)``,
+    bound to ``target``.
+    """
+
+    def step(key, state):
+        return kernel(key, state, target)
+
+    draw = getattr(kernel, "draw", None)
+    if draw is not None:
+        step.draw = partial(draw, target=target)
+    return SamplingAlgorithm(init=partial(init, target=target), step=step)
 
 
 class ChainError(RuntimeError):
@@ -154,6 +168,12 @@ class ChainError(RuntimeError):
         self.step_index = step_index
 
 
+# Steps per block of keys drawn at once by run_chain, and the cap on the
+# floats a block of pre-drawn rows may hold, so memory does not grow with dim.
+_BLOCK_STEPS = 256
+_BLOCK_FLOATS = 1 << 15
+
+
 def run_chain(
     key: RngKey,
     step: Callable[[RngKey, Any], tuple[Any, Any]],
@@ -161,6 +181,14 @@ def run_chain(
     num_steps: int,
 ) -> tuple[Any, list, np.ndarray]:
     """Fold ``step`` over ``num_steps`` per-iteration child keys.
+
+    Step ``i`` runs under ``fold_in(key, i)``.  The keys are derived a block
+    of steps at a time with :func:`~mcbricks.rng.fold_in_range`.  When
+    ``step`` has a draw atom (``step.draw``, set by :func:`bind` for RWM,
+    MALA, HMC and GHMC), the block's randomness is drawn in one call and
+    each step gets its pre-drawn row, which moves it exactly as its key
+    would.  Otherwise (NUTS, whose draws depend on the tree it builds, and
+    any other step) each step gets its key as an :class:`RngKey`.
 
     Returns ``(final_state, infos, positions)`` where ``infos`` collects the
     per-step info records and ``positions`` is the ``(num_steps, dim)``
@@ -172,18 +200,23 @@ def run_chain(
     dim = np.asarray(initial_state.position).shape[0]
     positions = np.empty((num_steps, dim))
     infos: list = []
+    draw = getattr(step, "draw", None)
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (dim + 1)))
     # Kernels absorb transient non-finite arithmetic via their divergence
     # handling, so suppress the corresponding warnings for the whole sweep.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(num_steps):
-            try:
-                state, info = step(fold_in(key, i), state)
-            except ChainError:
-                raise
-            except Exception as exc:
-                raise ChainError(i, exc) from exc
-            infos.append(info)
-            positions[i] = state.position
+        for start in range(0, num_steps, block):
+            keys = fold_in_range(key, start, min(start + block, num_steps))
+            rows = draw(keys) if draw is not None else map(RngKey._make, keys.tolist())
+            for i, row in enumerate(rows, start):
+                try:
+                    state, info = step(row, state)
+                except ChainError:
+                    raise
+                except Exception as exc:
+                    raise ChainError(i, exc) from exc
+                infos.append(info)
+                positions[i] = state.position
     return state, infos, positions
 
 

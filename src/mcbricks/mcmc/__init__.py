@@ -4,7 +4,9 @@ Each sampler module exposes ``init(position, target, ...)``, a
 ``build_kernel(...)`` constructor returning a pure transition function
 ``kernel(key, state, target)``, and an ``as_algorithm(target, ...)``
 convenience that packages both behind the library-wide init/step protocol
-through :func:`mcbricks.core.bind`.
+through :func:`mcbricks.core.bind`.  The RWM, MALA, HMC and GHMC kernels
+also carry a draw atom, ``kernel.draw(keys, target)``, which draws the
+randomness of many steps at once (see :mod:`mcbricks.core`).
 
 MALA, HMC and NUTS share :class:`mcbricks.core.GradientState` and its
 ``init``; RWM (no gradient) and GHMC (persistent momentum and slice) keep

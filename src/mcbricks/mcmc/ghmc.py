@@ -25,8 +25,8 @@ from ..integrator import (
     sample_momentum,
     total_energy,
 )
-from ..proposal import SliceVariable, nonreversible_slice_accept, perturb_slice, safe_energy_diff
-from ..rng import RngKey, split_key
+from ..proposal import SliceVariable, drift_slice, nonreversible_slice_accept, safe_energy_diff
+from ..rng import RngKey, split_key, split_key_rows, uniform, uniform_rows
 
 __all__ = ["GhmcState", "init", "build_kernel", "as_algorithm"]
 
@@ -75,6 +75,12 @@ def build_kernel(
     0 refreshes fully, values near 1 keep momentum across steps.
     ``slice_jitter`` in [0, 1] controls the per-step slice refresh: 0
     leaves the slice fully persistent, 1 redraws it uniformly each step.
+
+    The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
+    maps an ``(m, 2)`` key array to one row per key, the refresh momentum
+    drawn by ``sample_momentum`` under the kernel's metric followed by the
+    slice uniform.  The kernel takes such a row in place of a key and makes
+    exactly the move that key gives.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -84,10 +90,21 @@ def build_kernel(
         raise ValueError("slice jitter must lie in [0, 1]")
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
 
+    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
+        key_refresh, key_slice = split_key_rows(keys, 2).transpose(1, 0, 2)
+        kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        return np.column_stack(
+            (sample_momentum(key_refresh, kernel_metric), uniform_rows(key_slice))
+        )
+
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        key_refresh, key_slice = split_key(key, 2)
-        fresh = sample_momentum(key_refresh, kernel_metric)
+        if isinstance(key, np.ndarray):
+            fresh, u = key[:-1], key.item(-1)
+        else:
+            key_refresh, key_slice = split_key(key, 2)
+            fresh = sample_momentum(key_refresh, kernel_metric)
+            u = uniform(key_slice) if slice_jitter else 0.0
         momentum = persistence * state.momentum + refresh_scale * fresh
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
@@ -102,7 +119,7 @@ def build_kernel(
         )
         if not accepted:
             chosen = chosen._replace(momentum=-chosen.momentum)
-        new_slice = perturb_slice(key_slice, new_slice, slice_jitter)
+        new_slice = drift_slice(u, new_slice, slice_jitter)
         chosen = chosen._replace(slice_var=new_slice)
         info = AcceptanceInfo(
             p_accept,
@@ -112,6 +129,7 @@ def build_kernel(
         )
         return chosen, info
 
+    kernel.draw = draw
     return kernel
 
 

@@ -3,7 +3,8 @@
 The kernel also steps an ensemble :class:`~mcbricks.core.GradientState`
 under an ``(n, 2)`` key array: the trajectories of all rows are integrated
 together, and each row's accept/reject decision is the single-state one,
-returning one :class:`HmcInfo` per row.
+returning one :class:`HmcInfo` per row.  Both draw their randomness through
+the kernel's draw atom (see :func:`build_kernel`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from ..integrator import (
     total_energy,
     trajectory,
 )
-from ..proposal import binomial_accept, binomial_decision, safe_energy_diff, select_rows
-from ..rng import RngKey, split_key, split_key_rows, uniform_rows
+from ..proposal import binomial_decision, safe_energy_diff, select_rows
+from ..rng import RngKey, split_key, split_key_rows, uniform, uniform_rows
 
 __all__ = ["HmcInfo", "init", "build_kernel", "as_algorithm"]
 
@@ -51,6 +52,12 @@ def build_kernel(
     Trajectories whose energy error exceeds ``divergence_threshold`` (or
     blow up to non-finite values) are rejected outright and flagged; the
     reported ``p_accept`` still reflects the raw endpoint energies.
+
+    The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
+    maps an ``(m, 2)`` key array to one row per key, the momentum drawn by
+    ``sample_momentum`` under the kernel's metric followed by the accept
+    uniform.  The kernel takes such a row in place of a key and makes
+    exactly the move that key gives.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -59,9 +66,15 @@ def build_kernel(
     if num_integration_steps < 1:
         raise ValueError("need at least one integration step")
 
-    def ensemble_kernel(keys: np.ndarray, state: GradientState, target: Target, kernel_metric: Metric):
+    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
         key_momentum, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
-        momentum = sample_momentum(key_momentum, kernel_metric)
+        kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        return np.column_stack(
+            (sample_momentum(key_momentum, kernel_metric), uniform_rows(key_accept))
+        )
+
+    def ensemble_kernel(draws: np.ndarray, state: GradientState, target: Target, kernel_metric: Metric):
+        momentum = draws[:, :-1]
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         end = trajectory(start, step_size, kernel_metric, target, num_integration_steps)
@@ -70,7 +83,7 @@ def build_kernel(
         energy_end[~np.isfinite(energy_end)] = math.inf
         accepted, infos = [], []
         for u, start_energy, end_energy in zip(
-            uniform_rows(key_accept).tolist(), energy_start.tolist(), energy_end.tolist()
+            draws[:, -1].tolist(), energy_start.tolist(), energy_end.tolist()
         ):
             log_ratio = safe_energy_diff(start_energy, end_energy)
             p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
@@ -94,9 +107,12 @@ def build_kernel(
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, HmcInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
         if isinstance(key, np.ndarray):
-            return ensemble_kernel(key, state, target, kernel_metric)
-        key_momentum, key_accept = split_key(key, 2)
-        momentum = sample_momentum(key_momentum, kernel_metric)
+            if key.ndim == 2:
+                return ensemble_kernel(draw(key, target), state, target, kernel_metric)
+            momentum, u = key[:-1], key.item(-1)
+        else:
+            key_momentum, key_accept = split_key(key, 2)
+            momentum, u = sample_momentum(key_momentum, kernel_metric), uniform(key_accept)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         end = trajectory(start, step_size, kernel_metric, target, num_integration_steps)
@@ -104,11 +120,10 @@ def build_kernel(
         log_ratio = safe_energy_diff(energy_start, energy_end)
         p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
         divergent = not math.isfinite(energy_end) or (energy_end - energy_start) > divergence_threshold
-        proposed = GradientState(end.position, end.logdensity, end.gradient)
-        if divergent:
-            chosen, accepted = state, False
-        else:
-            chosen, accepted, p_accept = binomial_accept(key_accept, log_ratio, proposed, state)
+        accepted = False
+        if not divergent:
+            accepted, p_accept = binomial_decision(u, log_ratio)
+        chosen = GradientState(end.position, end.logdensity, end.gradient) if accepted else state
         info = HmcInfo(
             p_accept,
             accepted,
@@ -118,6 +133,7 @@ def build_kernel(
         )
         return chosen, info
 
+    kernel.draw = draw
     return kernel
 
 

@@ -9,7 +9,8 @@ with the constant cancelling between forward and reverse directions.
 
 The kernel also steps an ensemble :class:`~mcbricks.core.GradientState`
 under an ``(n, 2)`` key array, row by row as the single-state kernel would,
-returning one :class:`~mcbricks.core.AcceptanceInfo` per row.
+returning one :class:`~mcbricks.core.AcceptanceInfo` per row.  Both draw
+their randomness through the kernel's draw atom (see :func:`build_kernel`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ from ..core import (
     evaluate_rows,
     init,
 )
-from ..proposal import asymmetric_log_ratio, binomial_accept, binomial_decision, select_rows
-from ..rng import RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform_rows
+from ..proposal import asymmetric_log_ratio, binomial_decision, select_rows
+from ..rng import (
+    RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform, uniform_rows,
+)
 
 __all__ = ["init", "build_kernel", "as_algorithm"]
 
@@ -45,18 +48,26 @@ def _log_transition(to: np.ndarray, frm: np.ndarray, gradient: np.ndarray, step_
 def build_kernel(
     step_size: float,
 ) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, AcceptanceInfo]]:
-    """Kernel proposing ``q' = q + eps * grad(q) + sqrt(2 eps) * z``."""
+    """Kernel proposing ``q' = q + eps * grad(q) + sqrt(2 eps) * z``.
+
+    The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
+    maps an ``(m, 2)`` key array to one row per key, the ``dim`` proposal
+    normals followed by the accept uniform.  The kernel takes such a row in
+    place of a key and makes exactly the move that key gives.
+    """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
     noise_scale = math.sqrt(2.0 * step_size)
 
-    def ensemble_kernel(keys: np.ndarray, state: GradientState, target: Target):
+    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
         key_prop, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
-        noise = normal_rows(key_prop, target.dim)
-        position = state.position + step_size * state.gradient + noise_scale * noise
+        return np.column_stack((normal_rows(key_prop, target.dim), uniform_rows(key_accept)))
+
+    def ensemble_kernel(draws: np.ndarray, state: GradientState, target: Target):
+        position = state.position + step_size * state.gradient + noise_scale * draws[:, :-1]
         logdensity, gradient = evaluate_rows(position, target.logdensity, target.gradient)
         rows = zip(
-            uniform_rows(key_accept).tolist(),
+            draws[:, -1].tolist(),
             state.logdensity.tolist(),
             logdensity.tolist(),
             np.isfinite(gradient).all(axis=1).tolist(),
@@ -82,13 +93,15 @@ def build_kernel(
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
         if isinstance(key, np.ndarray):
-            return ensemble_kernel(key, state, target)
-        key_prop, key_accept = split_key(key, 2)
-        noise = normal_vector(key_prop, target.dim)
+            if key.ndim == 2:
+                return ensemble_kernel(draw(key, target), state, target)
+            noise, u = key[:-1], key.item(-1)
+        else:
+            key_prop, key_accept = split_key(key, 2)
+            noise, u = normal_vector(key_prop, target.dim), uniform(key_accept)
         position = state.position + step_size * state.gradient + noise_scale * noise
         logdensity = float(target.logdensity(position))
         gradient = np.asarray(target.gradient(position), dtype=float)
-        proposed = GradientState(position, logdensity, gradient)
         divergent = not (math.isfinite(logdensity) and np.all(np.isfinite(gradient)))
         if divergent:
             log_ratio = -math.inf
@@ -99,10 +112,12 @@ def build_kernel(
                 _log_transition(state.position, position, gradient, step_size),
                 _log_transition(position, state.position, state.gradient, step_size),
             )
-        chosen, accepted, p_accept = binomial_accept(key_accept, log_ratio, proposed, state)
+        accepted, p_accept = binomial_decision(u, log_ratio)
+        chosen = GradientState(position, logdensity, gradient) if accepted else state
         info = AcceptanceInfo(p_accept, accepted, divergent, -chosen.logdensity)
         return chosen, info
 
+    kernel.draw = draw
     return kernel
 
 

@@ -3,7 +3,8 @@
 The kernel also steps an ensemble: an :class:`RwmState` of ``(n, dim)``
 positions and ``(n,)`` log densities under an ``(n, 2)`` key array, giving
 each row the move the single-state kernel gives it under that row's key,
-and one :class:`~mcbricks.core.AcceptanceInfo` per row.
+and one :class:`~mcbricks.core.AcceptanceInfo` per row.  Both draw their
+randomness through the kernel's draw atom (see :func:`build_kernel`).
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, evaluate_rows
-from ..proposal import binomial_accept, binomial_decision, safe_energy_diff, select_rows
-from ..rng import RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform_rows
+from ..proposal import binomial_decision, safe_energy_diff, select_rows
+from ..rng import (
+    RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform, uniform_rows,
+)
 
 __all__ = ["RwmState", "init", "build_kernel", "as_algorithm"]
 
@@ -38,19 +41,27 @@ def build_kernel(
 
     ``proposal_scale`` is a positive scalar or a positive per-coordinate
     vector (diagonal preconditioning).
+
+    The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
+    maps an ``(m, 2)`` key array to one row per key, the ``dim`` proposal
+    normals followed by the accept uniform.  The kernel takes such a row in
+    place of a key and makes exactly the move that key gives.
     """
     scale = np.asarray(proposal_scale, dtype=float)
     if not np.all(scale > 0.0):
         raise ValueError("proposal scale must be strictly positive")
 
-    def ensemble_kernel(keys: np.ndarray, state: RwmState, target: Target):
+    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
         key_prop, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
-        position = state.position + scale * normal_rows(key_prop, target.dim)
+        return np.column_stack((normal_rows(key_prop, target.dim), uniform_rows(key_accept)))
+
+    def ensemble_kernel(draws: np.ndarray, state: RwmState, target: Target):
+        position = state.position + scale * draws[:, :-1]
         logdensity = evaluate_rows(position, target.logdensity)[0]
         decisions = [
             binomial_decision(u, safe_energy_diff(-old, -new))
             for u, old, new in zip(
-                uniform_rows(key_accept).tolist(), state.logdensity.tolist(), logdensity.tolist()
+                draws[:, -1].tolist(), state.logdensity.tolist(), logdensity.tolist()
             )
         ]
         accepted = [accept for accept, _ in decisions]
@@ -63,17 +74,20 @@ def build_kernel(
 
     def kernel(key: RngKey, state: RwmState, target: Target) -> tuple[RwmState, AcceptanceInfo]:
         if isinstance(key, np.ndarray):
-            return ensemble_kernel(key, state, target)
-        key_prop, key_accept = split_key(key, 2)
-        noise = normal_vector(key_prop, target.dim)
+            if key.ndim == 2:
+                return ensemble_kernel(draw(key, target), state, target)
+            noise, u = key[:-1], key.item(-1)
+        else:
+            key_prop, key_accept = split_key(key, 2)
+            noise, u = normal_vector(key_prop, target.dim), uniform(key_accept)
         position = state.position + scale * noise
         logdensity = float(target.logdensity(position))
-        log_ratio = safe_energy_diff(-state.logdensity, -logdensity)
-        proposed = RwmState(position, logdensity)
-        chosen, accepted, p_accept = binomial_accept(key_accept, log_ratio, proposed, state)
+        accepted, p_accept = binomial_decision(u, safe_energy_diff(-state.logdensity, -logdensity))
+        chosen = RwmState(position, logdensity) if accepted else state
         info = AcceptanceInfo(p_accept, accepted, False, -chosen.logdensity)
         return chosen, info
 
+    kernel.draw = draw
     return kernel
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "select_rows",
     "nonreversible_slice_accept",
     "perturb_slice",
+    "drift_slice",
 ]
 
 _OPEN_ONE = math.nextafter(1.0, 0.0)
@@ -95,9 +96,10 @@ def binomial_decision(u: float, log_ratio: float) -> tuple[bool, float]:
     """The rule of :func:`binomial_accept` for a uniform ``u`` already drawn.
 
     Returns ``(accepted, p_accept)``.  A NaN log ratio is a rejection with
-    ``p_accept = 0``.  Ensemble kernels draw one uniform per row with
-    :func:`mcbricks.rng.uniform_rows` and apply this row by row, so every
-    decision is taken in Python ``math`` exactly as for a single state.
+    ``p_accept = 0``.  The kernels draw their uniform from their key or take
+    it pre-drawn (one per row of an ensemble, or per step of a block drawn by
+    ``run_chain``) and apply this, so every decision is taken in Python
+    ``math`` exactly as for a single state.
     """
     if math.isnan(log_ratio):
         return False, 0.0
@@ -178,7 +180,17 @@ def perturb_slice(key: RngKey, slice_var: SliceVariable, jitter: float) -> Slice
         raise ValueError("jitter must lie in [0, 1]")
     if jitter == 0.0:
         return slice_var
-    shifted = math.fmod(slice_var.u + 1.0 + jitter * 2.0 * uniform(key), 2.0) - 1.0
+    return drift_slice(uniform(key), slice_var, jitter)
+
+
+def drift_slice(u: float, slice_var: SliceVariable, jitter: float) -> SliceVariable:
+    """The rule of :func:`perturb_slice` for a uniform ``u`` already drawn.
+
+    Zero jitter returns ``slice_var`` itself, whatever ``u`` is.
+    """
+    if jitter == 0.0:
+        return slice_var
+    shifted = math.fmod(slice_var.u + 1.0 + jitter * 2.0 * u, 2.0) - 1.0
     if shifted <= -1.0:
         shifted = -_OPEN_ONE
     elif shifted >= 1.0:

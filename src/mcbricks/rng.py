@@ -29,8 +29,15 @@ from :class:`RngKey` values.  :func:`split_key_rows`, :func:`fold_in_rows`,
 arithmetic on whole arrays, and row i of their result is bit for bit the
 scalar function's result for key i.  Ensembles (the SMC particle cloud)
 draw through them, so particle i keeps exactly the stream a loop over
-particles would give it.  The scalar functions are unchanged by this and
-stay the fast path for a single chain.
+particles would give it.
+
+:func:`fold_in_range` serves the other axis, the steps of one chain: it
+returns the keys ``fold_in(key, i)`` for a range of ``i`` as a key array.
+``core.run_chain`` derives a chain's step keys a block at a time with it,
+and kernels whose draws depend only on the step key (RWM, MALA, HMC, GHMC)
+draw the whole block's randomness from that array through their draw atom.
+The scalar functions are unchanged by this and stay the path for single
+calls, such as NUTS steps and warmup.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "key_rows",
     "split_key_rows",
     "fold_in_rows",
+    "fold_in_range",
     "uniform_rows",
     "normal_rows",
 ]
@@ -303,6 +311,18 @@ def fold_in_rows(keys: np.ndarray, index: int) -> np.ndarray:
     children[:, 0] = seed + np.uint64(2 * index * _GOLDEN & _MASK64)
     children[:, 1] = seed + np.uint64((2 * index + 1) * _GOLDEN & _MASK64)
     return _mix64_np(children)
+
+
+def fold_in_range(key: RngKey, start: int, stop: int) -> np.ndarray:
+    """The keys ``fold_in(key, i)`` for ``start <= i < stop``, as an ``(m, 2)`` key array.
+
+    Child i is words ``2 * i`` and ``2 * i + 1`` of the key's split stream,
+    so the whole range is one contiguous run of stream words.
+    """
+    if not 0 <= start <= stop:
+        raise ValueError("child range must satisfy 0 <= start <= stop")
+    seed = (_stream_seed(key, _TAG_SPLIT) + 2 * start * _GOLDEN) & _MASK64
+    return _words_np(seed, 2 * (stop - start)).reshape(-1, 2)
 
 
 def uniform_rows(keys: np.ndarray) -> np.ndarray:

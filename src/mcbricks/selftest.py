@@ -24,7 +24,7 @@ from .adaptation import (
 from .core import gradient_discrepancy, run_chain
 from .integrator import identity_metric, integrator_state, leapfrog, total_energy
 from .mcmc import ghmc, hmc, mala, nuts, rwm
-from .rng import fold_in, make_key, normal_vector, split_key, uniform, uniform_vector
+from .rng import fold_in, fold_in_range, make_key, normal_vector, split_key, uniform, uniform_vector
 from .sgmcmc import make_gradient_estimator, sghmc_algorithm, sgld_algorithm
 from .smc.resampling import resample, RESAMPLING_METHODS
 from .targets import MCMC_TARGET_NAMES, TARGETS, make_builtin
@@ -47,6 +47,10 @@ def _check_rng() -> None:
         "split_key stream changed"
     assert fold_in(key, 10**6) == (732649399640202656, 16613062456869360582), \
         "fold_in stream changed"
+    for start, stop in ((255, 258), (10**6, 10**6 + 1)):
+        assert fold_in_range(key, start, stop).tolist() == [
+            list(fold_in(key, i)) for i in range(start, stop)
+        ], "fold_in_range disagrees with fold_in"
     assert uniform(key) * 2**53 == 3367637147800791, "uniform stream changed"
     normals = normal_vector(key, 4096)
     assert abs(float(np.mean(normals))) < 0.1, "normal sample mean implausible"

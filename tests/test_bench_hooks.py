@@ -106,3 +106,23 @@ def test_traced_smc_run_counts_every_row_of_the_ensemble(tmp_path, mutation, par
     assert tracer.kernel["steps"] == stages * moves
     if (mutation, particles) == ("hmc", 100):
         assert stages == 6 and (counts["density"], counts["gradient"]) == (31200, 30600)
+
+
+@pytest.mark.parametrize("algorithm", ["rwm", "hmc"])
+def test_traced_run_counts_every_step_of_every_chain(tmp_path, algorithm):
+    """Drawing a chain's randomness in blocks still calls the traced kernel once per step.
+
+    Warmup steps count too: RWM's warmup is a plain chain, and
+    ``window_adaptation`` calls a traced HMC kernel on every warmup step.
+    Each RWM chain asks for one density at its start and one per step.
+    """
+    chains, warmup, samples = 2, 30, 300
+    tracer = tracing.Tracer()
+    argv = ["run", "--algorithm", algorithm, "--target", "std_normal", "--dim", "3",
+            "--num-chains", str(chains), "--num-warmup", str(warmup),
+            "--num-samples", str(samples), "--seed", "1", "--output-dir", str(tmp_path)]
+    code, _ = tracing.run_cli(argv, tracer)
+    assert code == 0
+    assert tracer.kernel["steps"] == chains * (warmup + samples)
+    if algorithm == "rwm":
+        assert tracer.eval_counts()["density"] == chains * (1 + warmup + samples)

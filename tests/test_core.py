@@ -99,3 +99,62 @@ def test_gradient_discrepancy_flags_a_wrong_gradient():
     key = make_key(3)
     assert gradient_discrepancy(good, key, num_points=50) < 1e-8
     assert gradient_discrepancy(bad, key, num_points=50) > 0.1
+
+
+# ------------------------------------------------------------- blocks of draws
+
+
+def _rwm_step(dim: int):
+    from mcbricks.mcmc import rwm
+    from mcbricks.targets import std_normal
+
+    algorithm = rwm.as_algorithm(std_normal(dim).target, 0.8)
+    return algorithm.step, algorithm.init(np.zeros(dim))
+
+
+@pytest.mark.parametrize("num_steps", [0, 1, 255, 256, 257, 513])
+def test_run_chain_with_the_draw_atom_matches_the_keyed_steps(num_steps):
+    step, initial = _rwm_step(3)
+    assert step.draw is not None
+    key = make_key(17)
+    final, infos, positions = run_chain(key, step, initial, num_steps)
+    keyed_final, keyed_infos, keyed_positions = run_chain(
+        key, lambda k, state: step(k, state), initial, num_steps
+    )
+    assert positions.tobytes() == keyed_positions.tobytes()
+    assert infos == keyed_infos
+    assert final.position.tobytes() == keyed_final.position.tobytes()
+
+
+def test_run_chain_draw_blocks_are_capped_in_steps_and_floats():
+    from mcbricks import core
+
+    for dim, num_steps in ((1, 300), (50, 300), (5_000, 40)):
+        step, initial = _rwm_step(dim)
+        rows_per_draw = []
+        draw = step.draw
+
+        def counting_draw(keys):
+            rows_per_draw.append(keys.shape[0])
+            return draw(keys)
+
+        step.draw = counting_draw
+        run_chain(make_key(3), step, initial, num_steps)
+        assert sum(rows_per_draw) == num_steps
+        assert max(rows_per_draw) <= core._BLOCK_STEPS
+        assert max(rows_per_draw) * (dim + 1) <= max(core._BLOCK_FLOATS, dim + 1)
+
+
+@pytest.mark.parametrize("with_draw", [True, False])
+def test_run_chain_reports_the_global_index_of_a_failing_step(with_draw):
+    def exploding(row, state):
+        if float(state.position[0]) >= 300.0:
+            raise ValueError("boom")
+        return _State(state.position + 1.0), None
+
+    if with_draw:
+        exploding.draw = lambda keys: np.zeros((keys.shape[0], 1))
+    with pytest.raises(ChainError) as excinfo:
+        run_chain(make_key(5), exploding, _State(np.zeros(1)), 600)
+    assert excinfo.value.step_index == 300
+    assert isinstance(excinfo.value.__cause__, ValueError)

@@ -3,7 +3,9 @@
 SMC moves its particle cloud as one ensemble: key arrays with one key per
 row, ``(n, dim)`` states, and kernels that step every row at once.  Row i
 must come out exactly as the single-state function gives it for key i and
-state i, so these properties compare bytes, never tolerances.
+state i, so these properties compare bytes, never tolerances.  The same
+holds for a kernel's draw atom: the move under row i of its draws is the
+move under key i.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mcbricks.core import GradientState, Target, evaluate_rows, init
 from mcbricks.integrator import dense_metric, diagonal_metric
-from mcbricks.mcmc import hmc, mala, rwm
+from mcbricks.mcmc import ghmc, hmc, mala, rwm
 from mcbricks.rng import (
     RngKey,
     fold_in,
@@ -181,12 +183,20 @@ def _cases(draw):
     return _TARGETS[target_name](dim), positions, keys, step, seed
 
 
-def _build(family: str, step: float, metric_kind: str, num_steps: int, dim: int, seed: int):
+def _build(family: str, step: float, metric_kind: str, num_steps: int, dim: int, seed: int,
+           jitter: float = 0.0):
     if family == "rwm":
         return rwm.init, rwm.build_kernel(step)
     if family == "mala":
         return init, mala.build_kernel(step)
-    return init, hmc.build_kernel(step, num_steps, _metric(metric_kind, dim, seed))
+    metric = _metric(metric_kind, dim, seed)
+    if family == "ghmc":
+        # A moving start: non-zero momentum and a slice away from the middle.
+        def ghmc_init(position, target):
+            return ghmc.init(position, target, np.cos(position), (seed % 1999) / 1000.0 - 0.999)
+
+        return ghmc_init, ghmc.build_kernel(step, 0.5 + 0.1 * num_steps, metric, jitter)
+    return init, hmc.build_kernel(step, num_steps, metric)
 
 
 def _row(ensemble, i):
@@ -236,6 +246,32 @@ def test_ensemble_kernel_matches_the_single_state_kernel(case, family, metric_ki
                 moved, info = kernel(key, state, target)
                 _assert_same_state(_row(stepped, i), moved)
                 _assert_same_info(infos[i], info)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_cases(),
+    family=st.sampled_from(["rwm", "mala", "hmc", "ghmc"]),
+    metric_kind=st.sampled_from(["identity", "diagonal", "dense"]),
+    num_steps=st.integers(1, 4),
+    jitter=st.sampled_from([0.0, 0.5]),
+)
+def test_pre_drawn_row_moves_exactly_as_its_key(case, family, metric_kind, num_steps, jitter):
+    target, positions, keys, step, seed = case
+    init_fn, kernel = _build(family, step, metric_kind, num_steps, target.dim, seed, jitter)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = kernel.draw(key_rows(keys), target)
+            assert rows.shape == (len(keys), target.dim + 1)
+            for i, key in enumerate(keys):
+                # Every atom ends its row with the uniform of the key's second child.
+                assert _bits(rows[i, -1]) == _bits(uniform(split_key(key, 2)[1]))
+                state = init_fn(positions[i].copy(), target)
+                moved, info = kernel(key, state, target)
+                row_moved, row_info = kernel(rows[i], state, target)
+                _assert_same_state(row_moved, moved)
+                _assert_same_info(row_info, info)
 
 
 # ------------------------------------------------------------- smc_step

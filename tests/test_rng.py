@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mcbricks import core, rng
 from mcbricks.rng import (
     RngKey,
     fold_in,
+    fold_in_range,
     make_key,
     normal_matrix,
     normal_vector,
@@ -67,6 +70,29 @@ def test_fold_in_matches_split(num):
 def test_fold_in_rejects_negative_index():
     with pytest.raises(ValueError):
         fold_in(make_key(1), -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.builds(RngKey, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    start=st.integers(0, 10**6),
+    length=st.integers(0, 600),
+)
+@example(key=RngKey(2**64 - 1, 2**64 - 1), start=0, length=rng._MAX_CACHED_STEPS // 2 + 1)
+@example(key=RngKey(0, 0), start=255, length=core._BLOCK_STEPS + 1)
+def test_fold_in_range_rows_are_fold_in(key, start, length):
+    """Row j is ``fold_in(key, start + j)``, across block and counter-cache lengths."""
+    block = fold_in_range(key, start, start + length)
+    assert block.dtype == np.uint64 and block.shape == (length, 2)
+    assert [RngKey(*row) for row in block.tolist()] == [
+        fold_in(key, i) for i in range(start, start + length)
+    ]
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 3), (5, 4)])
+def test_fold_in_range_rejects_a_bad_range(start, stop):
+    with pytest.raises(ValueError):
+        fold_in_range(make_key(0), start, stop)
 
 
 def test_uniform_is_pure_and_in_range():
