@@ -35,6 +35,7 @@ __all__ = [
     "init",
     "evaluate_rows",
     "bind",
+    "kernel_draws",
     "run_chain",
     "gradient_discrepancy",
 ]
@@ -158,6 +159,30 @@ def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple])
     if draw is not None:
         step.draw = partial(draw, target=target)
     return SamplingAlgorithm(init=partial(init, target=target), step=step)
+
+
+def kernel_draws(key: Any, draw: Callable, target: Target, ensemble: bool = True) -> np.ndarray:
+    """The randomness a kernel with draw atom ``draw`` moves under.
+
+    An :class:`RngKey` gives its one row of ``draw``, which the atom draws
+    with the scalar RNG functions: a one-row array draw costs several times
+    a whole RWM step.  A ``float64`` row of ``target.dim + 1`` values is
+    taken as already drawn.  With ``ensemble``, an ``(n, 2)`` ``uint64`` key
+    array gives one row per key, a 2-D array.  Anything else raises
+    ``TypeError``: a ``uint64`` key row, for one, is a key and not
+    randomness.
+    """
+    if not isinstance(key, np.ndarray):
+        return draw(key, target)
+    if key.dtype == np.float64 and key.shape == (target.dim + 1,):
+        return key
+    if ensemble and key.dtype == np.uint64 and key.ndim == 2 and key.shape[1] == 2:
+        return draw(key, target)
+    expected = "an RngKey, an (n, 2) uint64 key array" if ensemble else "an RngKey"
+    raise TypeError(
+        f"kernel key must be {expected} or a float64 row of {target.dim + 1} pre-drawn "
+        f"values, not a {key.dtype} array of shape {key.shape}"
+    )
 
 
 class ChainError(RuntimeError):

@@ -10,12 +10,12 @@ persistent flow, and the slice variable itself persists in the state.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .. import core
-from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, kernel_draws
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -77,10 +77,12 @@ def build_kernel(
     leaves the slice fully persistent, 1 redraws it uniformly each step.
 
     The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
-    maps an ``(m, 2)`` key array to one row per key, the refresh momentum
-    drawn by ``sample_momentum`` under the kernel's metric followed by the
-    slice uniform.  The kernel takes such a row in place of a key and makes
-    exactly the move that key gives.
+    maps an ``(m, 2)`` key array to one row per key (and one ``RngKey`` to
+    its row): the refresh momentum drawn by ``sample_momentum`` under the
+    kernel's metric followed by the slice uniform.  The kernel moves under
+    one such row: it draws a key's row through this atom, or takes a row
+    already drawn (see :func:`~mcbricks.core.kernel_draws`), so a key and
+    its row make the same move.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -90,22 +92,22 @@ def build_kernel(
         raise ValueError("slice jitter must lie in [0, 1]")
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
 
-    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
-        key_refresh, key_slice = split_key_rows(keys, 2).transpose(1, 0, 2)
+    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        # One key draws through the scalar functions, which cost far less than
+        # a one-row array draw (see kernel_draws).
+        if not isinstance(keys, np.ndarray):
+            key_refresh, key_slice = split_key(keys, 2)
+            return np.append(sample_momentum(key_refresh, kernel_metric), uniform(key_slice))
+        key_refresh, key_slice = split_key_rows(keys, 2).transpose(1, 0, 2)
         return np.column_stack(
             (sample_momentum(key_refresh, kernel_metric), uniform_rows(key_slice))
         )
 
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        if isinstance(key, np.ndarray):
-            fresh, u = key[:-1], key.item(-1)
-        else:
-            key_refresh, key_slice = split_key(key, 2)
-            fresh = sample_momentum(key_refresh, kernel_metric)
-            u = uniform(key_slice) if slice_jitter else 0.0
-        momentum = persistence * state.momentum + refresh_scale * fresh
+        draws = kernel_draws(key, draw, target, ensemble=False)
+        momentum = persistence * state.momentum + refresh_scale * draws[:-1]
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         end = leapfrog(start, step_size, kernel_metric, target)
@@ -119,7 +121,7 @@ def build_kernel(
         )
         if not accepted:
             chosen = chosen._replace(momentum=-chosen.momentum)
-        new_slice = drift_slice(u, new_slice, slice_jitter)
+        new_slice = drift_slice(draws.item(-1), new_slice, slice_jitter)
         chosen = chosen._replace(slice_var=new_slice)
         info = AcceptanceInfo(
             p_accept,

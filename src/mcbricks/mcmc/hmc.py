@@ -10,11 +10,11 @@ the kernel's draw atom (see :func:`build_kernel`).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ..core import GradientState, SamplingAlgorithm, Target, bind, init
+from ..core import GradientState, SamplingAlgorithm, Target, bind, init, kernel_draws
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -54,10 +54,12 @@ def build_kernel(
     reported ``p_accept`` still reflects the raw endpoint energies.
 
     The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
-    maps an ``(m, 2)`` key array to one row per key, the momentum drawn by
-    ``sample_momentum`` under the kernel's metric followed by the accept
-    uniform.  The kernel takes such a row in place of a key and makes
-    exactly the move that key gives.
+    maps an ``(m, 2)`` key array to one row per key (and one ``RngKey`` to
+    its row): the momentum drawn by ``sample_momentum`` under the kernel's
+    metric followed by the accept uniform.  The kernel moves under one such
+    row: it draws a key's row through this atom, or takes a row already
+    drawn (see :func:`~mcbricks.core.kernel_draws`), so a key and its row
+    make the same move.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -66,9 +68,14 @@ def build_kernel(
     if num_integration_steps < 1:
         raise ValueError("need at least one integration step")
 
-    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
-        key_momentum, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
+    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        # One key draws through the scalar functions, which cost far less than
+        # a one-row array draw (see kernel_draws).
+        if not isinstance(keys, np.ndarray):
+            key_momentum, key_accept = split_key(keys, 2)
+            return np.append(sample_momentum(key_momentum, kernel_metric), uniform(key_accept))
+        key_momentum, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
         return np.column_stack(
             (sample_momentum(key_momentum, kernel_metric), uniform_rows(key_accept))
         )
@@ -106,13 +113,10 @@ def build_kernel(
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, HmcInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        if isinstance(key, np.ndarray):
-            if key.ndim == 2:
-                return ensemble_kernel(draw(key, target), state, target, kernel_metric)
-            momentum, u = key[:-1], key.item(-1)
-        else:
-            key_momentum, key_accept = split_key(key, 2)
-            momentum, u = sample_momentum(key_momentum, kernel_metric), uniform(key_accept)
+        draws = kernel_draws(key, draw, target)
+        if draws.ndim == 2:
+            return ensemble_kernel(draws, state, target, kernel_metric)
+        momentum = draws[:-1]
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
         end = trajectory(start, step_size, kernel_metric, target, num_integration_steps)
@@ -122,7 +126,7 @@ def build_kernel(
         divergent = not math.isfinite(energy_end) or (energy_end - energy_start) > divergence_threshold
         accepted = False
         if not divergent:
-            accepted, p_accept = binomial_decision(u, log_ratio)
+            accepted, p_accept = binomial_decision(draws.item(-1), log_ratio)
         chosen = GradientState(end.position, end.logdensity, end.gradient) if accepted else state
         info = HmcInfo(
             p_accept,

@@ -16,7 +16,7 @@ their randomness through the kernel's draw atom (see :func:`build_kernel`).
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ..core import (
     bind,
     evaluate_rows,
     init,
+    kernel_draws,
 )
 from ..proposal import asymmetric_log_ratio, binomial_decision, select_rows
 from ..rng import (
@@ -51,15 +52,23 @@ def build_kernel(
     """Kernel proposing ``q' = q + eps * grad(q) + sqrt(2 eps) * z``.
 
     The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
-    maps an ``(m, 2)`` key array to one row per key, the ``dim`` proposal
-    normals followed by the accept uniform.  The kernel takes such a row in
-    place of a key and makes exactly the move that key gives.
+    maps an ``(m, 2)`` key array to one row per key (and one ``RngKey`` to
+    its row): the ``dim`` proposal normals followed by the accept uniform.
+    The kernel moves under one such row: it draws a key's row through this
+    atom, or takes a row already drawn (see
+    :func:`~mcbricks.core.kernel_draws`), so a key and its row make the same
+    move.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
     noise_scale = math.sqrt(2.0 * step_size)
 
-    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
+    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
+        # One key draws through the scalar functions, which cost far less than
+        # a one-row array draw (see kernel_draws).
+        if not isinstance(keys, np.ndarray):
+            key_prop, key_accept = split_key(keys, 2)
+            return np.append(normal_vector(key_prop, target.dim), uniform(key_accept))
         key_prop, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
         return np.column_stack((normal_rows(key_prop, target.dim), uniform_rows(key_accept)))
 
@@ -92,14 +101,10 @@ def build_kernel(
         return chosen, infos
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
-        if isinstance(key, np.ndarray):
-            if key.ndim == 2:
-                return ensemble_kernel(draw(key, target), state, target)
-            noise, u = key[:-1], key.item(-1)
-        else:
-            key_prop, key_accept = split_key(key, 2)
-            noise, u = normal_vector(key_prop, target.dim), uniform(key_accept)
-        position = state.position + step_size * state.gradient + noise_scale * noise
+        draws = kernel_draws(key, draw, target)
+        if draws.ndim == 2:
+            return ensemble_kernel(draws, state, target)
+        position = state.position + step_size * state.gradient + noise_scale * draws[:-1]
         logdensity = float(target.logdensity(position))
         gradient = np.asarray(target.gradient(position), dtype=float)
         divergent = not (math.isfinite(logdensity) and np.all(np.isfinite(gradient)))
@@ -112,7 +117,7 @@ def build_kernel(
                 _log_transition(state.position, position, gradient, step_size),
                 _log_transition(position, state.position, state.gradient, step_size),
             )
-        accepted, p_accept = binomial_decision(u, log_ratio)
+        accepted, p_accept = binomial_decision(draws.item(-1), log_ratio)
         chosen = GradientState(position, logdensity, gradient) if accepted else state
         info = AcceptanceInfo(p_accept, accepted, divergent, -chosen.logdensity)
         return chosen, info

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, evaluate_rows
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, evaluate_rows, kernel_draws
 from ..proposal import binomial_decision, safe_energy_diff, select_rows
 from ..rng import (
     RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform, uniform_rows,
@@ -43,15 +43,23 @@ def build_kernel(
     vector (diagonal preconditioning).
 
     The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
-    maps an ``(m, 2)`` key array to one row per key, the ``dim`` proposal
-    normals followed by the accept uniform.  The kernel takes such a row in
-    place of a key and makes exactly the move that key gives.
+    maps an ``(m, 2)`` key array to one row per key (and one ``RngKey`` to
+    its row): the ``dim`` proposal normals followed by the accept uniform.
+    The kernel moves under one such row: it draws a key's row through this
+    atom, or takes a row already drawn (see
+    :func:`~mcbricks.core.kernel_draws`), so a key and its row make the same
+    move.
     """
     scale = np.asarray(proposal_scale, dtype=float)
     if not np.all(scale > 0.0):
         raise ValueError("proposal scale must be strictly positive")
 
-    def draw(keys: np.ndarray, target: Target) -> np.ndarray:
+    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
+        # One key draws through the scalar functions, which cost far less than
+        # a one-row array draw (see kernel_draws).
+        if not isinstance(keys, np.ndarray):
+            key_prop, key_accept = split_key(keys, 2)
+            return np.append(normal_vector(key_prop, target.dim), uniform(key_accept))
         key_prop, key_accept = split_key_rows(keys, 2).transpose(1, 0, 2)
         return np.column_stack((normal_rows(key_prop, target.dim), uniform_rows(key_accept)))
 
@@ -73,16 +81,14 @@ def build_kernel(
         return chosen, infos
 
     def kernel(key: RngKey, state: RwmState, target: Target) -> tuple[RwmState, AcceptanceInfo]:
-        if isinstance(key, np.ndarray):
-            if key.ndim == 2:
-                return ensemble_kernel(draw(key, target), state, target)
-            noise, u = key[:-1], key.item(-1)
-        else:
-            key_prop, key_accept = split_key(key, 2)
-            noise, u = normal_vector(key_prop, target.dim), uniform(key_accept)
-        position = state.position + scale * noise
+        draws = kernel_draws(key, draw, target)
+        if draws.ndim == 2:
+            return ensemble_kernel(draws, state, target)
+        position = state.position + scale * draws[:-1]
         logdensity = float(target.logdensity(position))
-        accepted, p_accept = binomial_decision(u, safe_energy_diff(-state.logdensity, -logdensity))
+        accepted, p_accept = binomial_decision(
+            draws.item(-1), safe_energy_diff(-state.logdensity, -logdensity)
+        )
         chosen = RwmState(position, logdensity) if accepted else state
         info = AcceptanceInfo(p_accept, accepted, False, -chosen.logdensity)
         return chosen, info

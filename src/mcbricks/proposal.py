@@ -96,9 +96,9 @@ def binomial_decision(u: float, log_ratio: float) -> tuple[bool, float]:
     """The rule of :func:`binomial_accept` for a uniform ``u`` already drawn.
 
     Returns ``(accepted, p_accept)``.  A NaN log ratio is a rejection with
-    ``p_accept = 0``.  The kernels draw their uniform from their key or take
-    it pre-drawn (one per row of an ensemble, or per step of a block drawn by
-    ``run_chain``) and apply this, so every decision is taken in Python
+    ``p_accept = 0``.  The built-in kernels take their uniform from the row
+    their draw atom gives (one per ensemble row, or per step of a block drawn
+    by ``run_chain``) and apply this, so every decision is taken in Python
     ``math`` exactly as for a single state.
     """
     if math.isnan(log_ratio):
@@ -178,8 +178,6 @@ def perturb_slice(key: RngKey, slice_var: SliceVariable, jitter: float) -> Slice
     """
     if not 0.0 <= jitter <= 1.0:
         raise ValueError("jitter must lie in [0, 1]")
-    if jitter == 0.0:
-        return slice_var
     return drift_slice(uniform(key), slice_var, jitter)
 
 

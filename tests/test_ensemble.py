@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcbricks.core import GradientState, Target, evaluate_rows, init
-from mcbricks.integrator import dense_metric, diagonal_metric
+from mcbricks.integrator import dense_metric, diagonal_metric, identity_metric, sample_momentum
 from mcbricks.mcmc import ghmc, hmc, mala, rwm
 from mcbricks.rng import (
     RngKey,
@@ -265,13 +265,36 @@ def test_pre_drawn_row_moves_exactly_as_its_key(case, family, metric_kind, num_s
             rows = kernel.draw(key_rows(keys), target)
             assert rows.shape == (len(keys), target.dim + 1)
             for i, key in enumerate(keys):
-                # Every atom ends its row with the uniform of the key's second child.
-                assert _bits(rows[i, -1]) == _bits(uniform(split_key(key, 2)[1]))
+                # Every atom draws its row from the key's two children with the
+                # scalar functions' streams: normals (or momentum), then a uniform.
+                key_lead, key_uniform = split_key(key, 2)
+                if family in ("rwm", "mala"):
+                    lead = normal_vector(key_lead, target.dim)
+                else:
+                    metric = _metric(metric_kind, target.dim, seed)
+                    lead = sample_momentum(key_lead, metric or identity_metric(target.dim))
+                assert rows[i, :-1].tobytes() == np.asarray(lead, dtype=float).tobytes()
+                assert _bits(rows[i, -1]) == _bits(uniform(key_uniform))
+                assert kernel.draw(key, target).tobytes() == rows[i].tobytes()
                 state = init_fn(positions[i].copy(), target)
                 moved, info = kernel(key, state, target)
                 row_moved, row_info = kernel(rows[i], state, target)
                 _assert_same_state(row_moved, moved)
                 _assert_same_info(row_info, info)
+
+
+@pytest.mark.parametrize("family", ["rwm", "mala", "hmc", "ghmc"])
+def test_kernel_rejects_a_key_array_that_is_not_its_randomness(family):
+    target = std_normal(3).target
+    init_fn, kernel = _build(family, 0.3, "identity", 2, target.dim, 7)
+    state = init_fn(np.zeros(target.dim), target)
+    keys = key_rows([make_key(1), make_key(2)])
+    bad = [keys[0], keys.astype(float)[0], np.zeros(target.dim), np.zeros((1, target.dim + 1))]
+    if family == "ghmc":
+        bad.append(keys)  # GHMC has no ensemble path
+    for key in bad:
+        with pytest.raises(TypeError, match="kernel key must be"):
+            kernel(key, state, target)
 
 
 # ------------------------------------------------------------- smc_step
