@@ -10,9 +10,10 @@ the measured ``runtime_seconds`` and the timestamp inside the summary's
 Key discipline: the root key is ``make_key(seed)`` and is split once into
 ``(data key, run key)``.  Synthetic-data targets consume the data key.
 MCMC chain c derives ``fold_in(run key, c)``, split into (warmup key,
-sampling key); SMC and VI consume the run key directly.  Worker threads
-only change scheduling, never key derivation, so concurrent chains write
-exactly the bytes sequential execution writes.
+sampling key); SMC and VI consume the run key directly.  Chains run one
+after another.  ``--chain-workers`` is still accepted and validated, but it
+no longer changes how chains run (worker threads gave no speedup: they
+serialise on the interpreter lock), so every setting writes the same bytes.
 
 Exit codes: 0 success; 2 configuration error, including a setting the library
 rejects while a run is built (before any sampling); 3 numerical failure while
@@ -22,7 +23,6 @@ sampling; 141 when the reader closes standard output early.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import json
 import math
@@ -155,7 +155,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     run.add_argument("--num-samples", type=int, default=2000)
     run.add_argument("--num-chains", type=int, default=4)
     run.add_argument("--chain-workers", type=int, default=1,
-                     help="threads for concurrent chains (output is identical)")
+                     help="accepted for compatibility; chains run one after "
+                          "another at any setting (output is identical)")
     run.add_argument("--step-size", type=float, default=None,
                      help="fixed step for mala/ghmc; search start for hmc/nuts")
     run.add_argument("--proposal-scale", type=float, default=1.0)
@@ -368,12 +369,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _, infos, positions = run_chain(key_sampling, algorithm.step, state, args.num_samples)
         return positions, infos
 
-    chain_keys = [fold_in(key_run, c) for c in range(args.num_chains)]
-    if args.chain_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.chain_workers) as pool:
-            results = list(pool.map(run_one_chain, chain_keys))
-    else:
-        results = [run_one_chain(key) for key in chain_keys]
+    results = [run_one_chain(fold_in(key_run, c)) for c in range(args.num_chains)]
     chains = [positions for positions, _ in results]
     infos = [info for _, chain_infos in results for info in chain_infos]
     _write_outputs(args, chains, infos, started)

@@ -9,10 +9,13 @@ protocol: ``init`` builds the algorithm state from a starting position,
 fold and replaying it with the same key reproduces every draw bitwise.
 
 A kernel whose randomness is a fixed set of draws from its key (RWM, MALA,
-HMC, GHMC) carries a *draw atom* as its ``draw`` attribute: it maps an
-``(m, 2)`` key array to one row of randomness per key, and the kernel takes
-such a row in place of the key.  :func:`bind` hands the atom on to the
-step, and :func:`run_chain` uses it to draw a block of steps at once.
+HMC, GHMC) carries a *draw atom* as its ``draw`` attribute, one shared
+factory (:func:`mcbricks.integrator.momentum_draw`): it maps an ``(m, 2)``
+key array to one row of randomness per key, and the kernel takes such a row
+in place of the key.  :func:`bind` hands the atom on to the step, and
+:func:`run_chain` uses it to draw a block of steps at once.  These kernels
+step one state or an ensemble with one body, :func:`evaluate` being the one
+place that tells the two shapes apart for the target.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "AcceptanceInfo",
     "ChainError",
     "init",
+    "evaluate",
     "evaluate_rows",
     "bind",
     "kernel_draws",
@@ -111,13 +115,20 @@ def init(position: np.ndarray, target: Target) -> GradientState:
     An ``(n, dim)`` matrix of positions gives the ensemble state of its rows.
     """
     position = np.asarray(position, dtype=float)
+    return GradientState(position, *evaluate(position, target.logdensity, target.gradient))
+
+
+def evaluate(position: np.ndarray, logdensity: Callable, gradient: Optional[Callable] = None) -> tuple:
+    """Log density and gradient (``None`` without ``gradient``) at ``position``.
+
+    One position gives a Python ``float`` and a ``float64`` array; an
+    ``(n, dim)`` matrix gives :func:`evaluate_rows`.
+    """
     if position.ndim == 2:
-        return GradientState(position, *evaluate_rows(position, target.logdensity, target.gradient))
-    return GradientState(
-        position,
-        float(target.logdensity(position)),
-        np.asarray(target.gradient(position), dtype=float),
-    )
+        return evaluate_rows(position, logdensity, gradient)
+    if gradient is None:
+        return float(logdensity(position)), None
+    return float(logdensity(position)), np.asarray(gradient(position), dtype=float)
 
 
 def evaluate_rows(
@@ -134,14 +145,11 @@ def evaluate_rows(
     ``gradient`` the second result is ``None``.
     """
     densities = np.empty(positions.shape[0])
-    if gradient is None:
-        for i, position in enumerate(positions):
-            densities[i] = float(logdensity(position))
-        return densities, None
-    gradients = np.empty(positions.shape)
+    gradients = None if gradient is None else np.empty(positions.shape)
     for i, position in enumerate(positions):
         densities[i] = float(logdensity(position))
-        gradients[i] = gradient(position)
+        if gradient is not None:
+            gradients[i] = gradient(position)
     return densities, gradients
 
 

@@ -11,23 +11,27 @@ with kinetic energy ``0.5 * p^T M^{-1} p``.  Identity and diagonal metrics
 store the inverse mass as a vector; dense metrics store the full inverse
 mass matrix plus a Cholesky factor of M for momentum sampling.
 
-``kinetic_energy``, ``sample_momentum``, ``velocity``, ``leapfrog`` and
-``trajectory`` also take an ensemble: positions, momenta and gradients as
-``(n, dim)`` matrices, log densities and energies as ``(n,)`` vectors, and
-one key per row for momentum draws.  Each row comes out bit for bit as the
-single-state call on that row would give it.  ``total_energy`` stays
-single-state; ensemble kernels apply its rule row by row.
+``kinetic_energy``, ``sample_momentum``, ``velocity``, ``total_energy``,
+``leapfrog`` and ``trajectory`` also take an ensemble: positions, momenta
+and gradients as ``(n, dim)`` matrices, log densities and energies as
+``(n,)`` vectors, and one key per row for momentum draws.  Each row comes
+out bit for bit as the single-state call on that row would give it.
+
+:func:`momentum_draw` builds the one draw atom of the RWM, MALA, HMC and
+GHMC kernels: per step key, a momentum and one uniform.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import Target, evaluate_rows, init
-from .rng import RngKey, normal_rows, normal_vector
+from .core import Target, evaluate, init
+from .rng import (
+    RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform, uniform_rows,
+)
 
 __all__ = [
     "Metric",
@@ -38,6 +42,7 @@ __all__ = [
     "integrator_state",
     "kinetic_energy",
     "sample_momentum",
+    "momentum_draw",
     "velocity",
     "total_energy",
     "leapfrog",
@@ -157,14 +162,40 @@ def velocity(momentum: np.ndarray, metric: Metric) -> np.ndarray:
     return metric.inverse_mass * momentum
 
 
+def momentum_draw(metric: Optional[Metric] = None) -> Callable:
+    """The draw atom ``draw(keys, target)`` of the RWM, MALA, HMC and GHMC kernels.
+
+    A key's row is the momentum drawn under ``metric`` from its first child,
+    then the uniform of its second.  No metric means the identity metric,
+    whose momentum is the ``normal_vector`` draw bit for bit.  An ``(m, 2)``
+    key array gives ``m`` rows; one ``RngKey`` gives its row through the
+    scalar functions, far cheaper than a one-row array draw.
+    """
+
+    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
+        kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        if isinstance(keys, np.ndarray):
+            key_momentum, key_uniform = split_key_rows(keys, 2).transpose(1, 0, 2)
+            momentum = sample_momentum(key_momentum, kernel_metric)
+            return np.column_stack((momentum, uniform_rows(key_uniform)))
+        key_momentum, key_uniform = split_key(keys, 2)
+        return np.append(sample_momentum(key_momentum, kernel_metric), uniform(key_uniform))
+
+    return draw
+
+
 def total_energy(state: IntegratorState, metric: Metric) -> float:
     """Hamiltonian ``H(q, p) = -logdensity(q) + kinetic(p)``.
 
     Any non-finite energy (a position outside the support, a NaN density,
     an overflowing or NaN momentum) comes back as ``+inf``, which every
-    acceptance rule treats as a certain rejection.
+    acceptance rule treats as a certain rejection.  An ensemble state gives
+    the ``(n,)`` energies of its rows under the same rule.
     """
     energy = -state.logdensity + kinetic_energy(state.momentum, metric)
+    if isinstance(energy, np.ndarray):
+        energy[~np.isfinite(energy)] = math.inf
+        return energy
     return energy if math.isfinite(energy) else math.inf
 
 
@@ -179,7 +210,7 @@ def leapfrog(
     Costs one fresh gradient evaluation; the incoming state's cached
     gradient supplies the first half kick.  An ensemble state moves every
     row, evaluating the target row by row through
-    :func:`~mcbricks.core.evaluate_rows`.  Non-finite values propagate to
+    :func:`~mcbricks.core.evaluate`.  Non-finite values propagate to
     the returned state and are absorbed by the acceptance atoms downstream,
     so overflow here is expected behaviour, not worth a warning.  The caller
     owns ``np.errstate``: the drivers (``run_chain``, the SMC mutation loop,
@@ -190,11 +221,7 @@ def leapfrog(
     half = 0.5 * step_size
     p_half = state.momentum + half * state.gradient
     position = state.position + step_size * velocity(p_half, metric)
-    if position.ndim == 1:
-        logdensity = float(target.logdensity(position))
-        gradient = np.asarray(target.gradient(position), dtype=float)
-    else:
-        logdensity, gradient = evaluate_rows(position, target.logdensity, target.gradient)
+    logdensity, gradient = evaluate(position, target.logdensity, target.gradient)
     momentum = p_half + half * gradient
     return IntegratorState(position, momentum, logdensity, gradient)
 

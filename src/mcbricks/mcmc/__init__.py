@@ -5,14 +5,18 @@ Each sampler module exposes ``init(position, target, ...)``, a
 ``kernel(key, state, target)``, and an ``as_algorithm(target, ...)``
 convenience that packages both behind the library-wide init/step protocol
 through :func:`mcbricks.core.bind`.  The RWM, MALA, HMC and GHMC kernels
-also carry a draw atom, ``kernel.draw(keys, target)``, which draws the
-randomness of many steps at once (see :mod:`mcbricks.core`).
+share one draw atom, :func:`mcbricks.integrator.momentum_draw`, carried as
+``kernel.draw(keys, target)``, which draws the randomness of many steps at
+once (see :mod:`mcbricks.core`).  RWM, MALA and HMC each write their accept
+rule once and step a single state or an ensemble with one body, through
+:func:`mcbricks.proposal.settle`.
 
 MALA, HMC and NUTS share :class:`mcbricks.core.GradientState` and its
 ``init``; RWM (no gradient) and GHMC (persistent momentum and slice) keep
 their own states.  RWM, MALA and GHMC report
 :class:`mcbricks.core.AcceptanceInfo`; HMC and NUTS extend it.  Endpoints
-are scored by :func:`mcbricks.integrator.total_energy`, non-finite as +inf.
+are scored by :func:`mcbricks.integrator.total_energy`, non-finite as +inf,
+row by row for an ensemble.
 """
 
 from . import ghmc, hmc, mala, nuts, rwm

@@ -10,7 +10,7 @@ persistent flow, and the slice variable itself persists in the state.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,11 +22,11 @@ from ..integrator import (
     identity_metric,
     kinetic_energy,
     leapfrog,
-    sample_momentum,
+    momentum_draw,
     total_energy,
 )
 from ..proposal import SliceVariable, drift_slice, nonreversible_slice_accept, safe_energy_diff
-from ..rng import RngKey, split_key, split_key_rows, uniform, uniform_rows
+from ..rng import RngKey
 
 __all__ = ["GhmcState", "init", "build_kernel", "as_algorithm"]
 
@@ -76,13 +76,10 @@ def build_kernel(
     ``slice_jitter`` in [0, 1] controls the per-step slice refresh: 0
     leaves the slice fully persistent, 1 redraws it uniformly each step.
 
-    The kernel's ``draw`` attribute is its draw atom: ``draw(keys, target)``
-    maps an ``(m, 2)`` key array to one row per key (and one ``RngKey`` to
-    its row): the refresh momentum drawn by ``sample_momentum`` under the
-    kernel's metric followed by the slice uniform.  The kernel moves under
-    one such row: it draws a key's row through this atom, or takes a row
-    already drawn (see :func:`~mcbricks.core.kernel_draws`), so a key and
-    its row make the same move.
+    ``kernel.draw`` is the shared draw atom
+    :func:`~mcbricks.integrator.momentum_draw` under ``metric``: the refresh
+    momentum, then the slice uniform (see :func:`~mcbricks.core.kernel_draws`).
+    The kernel steps one state only.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -91,18 +88,7 @@ def build_kernel(
     if not 0.0 <= slice_jitter <= 1.0:
         raise ValueError("slice jitter must lie in [0, 1]")
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
-
-    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
-        kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        # One key draws through the scalar functions, which cost far less than
-        # a one-row array draw (see kernel_draws).
-        if not isinstance(keys, np.ndarray):
-            key_refresh, key_slice = split_key(keys, 2)
-            return np.append(sample_momentum(key_refresh, kernel_metric), uniform(key_slice))
-        key_refresh, key_slice = split_key_rows(keys, 2).transpose(1, 0, 2)
-        return np.column_stack(
-            (sample_momentum(key_refresh, kernel_metric), uniform_rows(key_slice))
-        )
+    draw = momentum_draw(metric)
 
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
@@ -115,21 +101,14 @@ def build_kernel(
         log_ratio = safe_energy_diff(energy_start, energy_end)
         p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
         proposed = GhmcState(end.position, end.logdensity, end.gradient, end.momentum, state.slice_var)
-        current = GhmcState(state.position, state.logdensity, state.gradient, momentum, state.slice_var)
+        # A rejection keeps the position and negates the momentum.
+        current = GhmcState(state.position, state.logdensity, state.gradient, -momentum, state.slice_var)
         chosen, accepted, new_slice = nonreversible_slice_accept(
             state.slice_var, log_ratio, proposed, current
         )
-        if not accepted:
-            chosen = chosen._replace(momentum=-chosen.momentum)
-        new_slice = drift_slice(draws.item(-1), new_slice, slice_jitter)
-        chosen = chosen._replace(slice_var=new_slice)
-        info = AcceptanceInfo(
-            p_accept,
-            accepted,
-            not math.isfinite(energy_end),
-            energy_end if accepted else energy_start,
-        )
-        return chosen, info
+        chosen = chosen._replace(slice_var=drift_slice(draws.item(-1), new_slice, slice_jitter))
+        energy = energy_end if accepted else energy_start
+        return chosen, AcceptanceInfo(p_accept, accepted, not math.isfinite(energy_end), energy)
 
     kernel.draw = draw
     return kernel

@@ -16,7 +16,7 @@ term where momenta exist, so log acceptance ratios are prev - new.
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "binomial_decision",
     "binomial_accept",
     "select_rows",
+    "settle",
     "nonreversible_slice_accept",
     "perturb_slice",
     "drift_slice",
@@ -98,8 +99,8 @@ def binomial_decision(u: float, log_ratio: float) -> tuple[bool, float]:
     Returns ``(accepted, p_accept)``.  A NaN log ratio is a rejection with
     ``p_accept = 0``.  The built-in kernels take their uniform from the row
     their draw atom gives (one per ensemble row, or per step of a block drawn
-    by ``run_chain``) and apply this, so every decision is taken in Python
-    ``math`` exactly as for a single state.
+    by ``run_chain``) and apply this inside their accept rule (see
+    :func:`settle`).
     """
     if math.isnan(log_ratio):
         return False, 0.0
@@ -135,6 +136,23 @@ def select_rows(accepted: list[bool], proposed: Any, current: Any) -> Any:
         np.where(mask.reshape((-1,) + (1,) * (np.ndim(old) - 1)), new, old)
         for new, old in zip(proposed, current)
     ))
+
+
+def settle(decide: Callable, u: np.ndarray, columns: tuple, proposed: Any, current: Any) -> tuple:
+    """Apply a kernel's accept rule ``decide(u, *row) -> (accepted, info)``.
+
+    One state (a 0-d ``u``): one call, giving ``(proposed or current, info)``.
+    An ensemble (``u`` and each column one value per row): one call per row,
+    giving the :func:`select_rows` state and a tuple of infos.  The rule
+    always sees Python floats, so a row is decided exactly as one state is.
+    """
+    if u.ndim == 0:
+        accepted, info = decide(u.item(), *columns)
+        return (proposed if accepted else current), info
+    rows = zip(u.tolist(), *(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    decisions = [decide(*row) for row in rows]
+    chosen = select_rows([accepted for accepted, _ in decisions], proposed, current)
+    return chosen, tuple(info for _, info in decisions)
 
 
 def nonreversible_slice_accept(

@@ -157,6 +157,37 @@ def _words_np(seed, count: int) -> np.ndarray:
     return _mix64_np(steps + np.uint64(seed))
 
 
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    # Uniform doubles on [0, 1) from the top 53 bits of each word; shifts
+    # ``words`` in place.
+    words >>= _NP_11
+    draws = words.astype(np.float64)
+    draws *= _INV_2_53
+    return draws
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    # Standard normals from pairs of words along the last axis: even words
+    # give the radius, odd words the angle, every step in place on strided
+    # views.  Adding 2**-53 to k * 2**-53 is exact, so the radius uniform is
+    # (k + 1) * 2**-53, on (0, 1], and its logarithm is always finite.
+    uniforms = _unit_doubles(words)
+    radius = uniforms[..., 0::2]
+    radius += _INV_2_53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = uniforms[..., 1::2]
+    angle *= 2.0 * math.pi
+    out = np.empty(uniforms.shape)
+    even, odd = out[..., 0::2], out[..., 1::2]
+    np.cos(angle, out=even)
+    even *= radius
+    np.sin(angle, out=odd)
+    odd *= radius
+    return out
+
+
 def make_key(seed: int) -> RngKey:
     """Build the root key for a run from a user-supplied integer seed."""
     s = int(seed) & _MASK64
@@ -208,49 +239,22 @@ def uniform_vector(key: RngKey, num: int) -> np.ndarray:
     """
     if num < 0:
         raise ValueError("draw count must be non-negative")
-    words = _words_np(_stream_seed(key, _TAG_UNIFORM), num)
-    words >>= _NP_11
-    draws = words.astype(np.float64)
-    draws *= _INV_2_53
-    return draws
+    return _unit_doubles(_words_np(_stream_seed(key, _TAG_UNIFORM), num))
 
 
 def normal_vector(key: RngKey, num: int) -> np.ndarray:
     """``num`` independent standard normal doubles.
 
-    Pairs of stream words go through Box-Muller.  The first uniform is
-    shifted onto (0, 1] so the logarithm is always finite.  The stream seed
-    folds in ``num``, so requests of different lengths from the same key do
-    not share a prefix.
+    Pairs of stream words go through Box-Muller.  The stream seed folds in
+    ``num``, so requests of different lengths from the same key do not
+    share a prefix.
     """
     if num < 0:
         raise ValueError("draw count must be non-negative")
-    if num == 0:
-        return np.zeros(0)
     pairs = (num + 1) // 2
     seed = _stream_seed(key, _TAG_NORMAL)
     seed = _mix64((seed + num * _GOLDEN) & _MASK64)
-    words = _words_np(seed, 2 * pairs)
-    words >>= _NP_11
-    uniforms = words.astype(np.float64)
-    uniforms *= _INV_2_53
-    # Even words give the radius, odd words the angle; every step is in
-    # place.  Adding 2**-53 to k * 2**-53 is exact, so the radius uniform is
-    # (k + 1) * 2**-53, on (0, 1].
-    radius = uniforms[0::2]
-    radius += _INV_2_53
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle = uniforms[1::2]
-    angle *= 2.0 * math.pi
-    out = np.empty(2 * pairs)
-    even, odd = out[0::2], out[1::2]
-    np.cos(angle, out=even)
-    even *= radius
-    np.sin(angle, out=odd)
-    odd *= radius
-    return out[:num]
+    return _box_muller(_words_np(seed, 2 * pairs))[:num]
 
 
 def normal_matrix(key: RngKey, rows: int, cols: int) -> np.ndarray:
@@ -327,41 +331,18 @@ def fold_in_range(key: RngKey, start: int, stop: int) -> np.ndarray:
 
 def uniform_rows(keys: np.ndarray) -> np.ndarray:
     """``uniform`` on every row: one double on [0, 1) per key."""
-    words = _mix64_np(_stream_seed_rows(keys, _TAG_UNIFORM))
-    words >>= _NP_11
-    draws = words.astype(np.float64)
-    draws *= _INV_2_53
-    return draws
+    return _unit_doubles(_mix64_np(_stream_seed_rows(keys, _TAG_UNIFORM)))
 
 
 def normal_rows(keys: np.ndarray, num: int) -> np.ndarray:
     """``normal_vector(key, num)`` on every row, shaped ``(n, num)``.
 
-    The Box-Muller steps are those of :func:`normal_vector`, applied in
-    place to the same strided views, so each row gets the scalar draws.
+    Both functions run the one Box-Muller body on the same strided views of
+    each row's words, so each row gets the scalar draws.
     """
     if num < 0:
         raise ValueError("draw count must be non-negative")
-    if num == 0:
-        return np.zeros((keys.shape[0], 0))
     pairs = (num + 1) // 2
     seed = _stream_seed_rows(keys, _TAG_NORMAL)
     seed += np.uint64(num * _GOLDEN & _MASK64)
-    words = _words_np(_mix64_np(seed)[:, None], 2 * pairs)
-    words >>= _NP_11
-    uniforms = words.astype(np.float64)
-    uniforms *= _INV_2_53
-    radius = uniforms[:, 0::2]
-    radius += _INV_2_53
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle = uniforms[:, 1::2]
-    angle *= 2.0 * math.pi
-    out = np.empty((keys.shape[0], 2 * pairs))
-    even, odd = out[:, 0::2], out[:, 1::2]
-    np.cos(angle, out=even)
-    even *= radius
-    np.sin(angle, out=odd)
-    odd *= radius
-    return out[:, :num]
+    return _box_muller(_words_np(_mix64_np(seed)[:, None], 2 * pairs))[:, :num]

@@ -3,8 +3,9 @@
 Each check is cheap (the whole suite runs in seconds) and exercises one
 structural guarantee: stream purity, gradient consistency, integrator
 reversibility, schedule bookkeeping, estimator agreement, resampler
-counts, and kernel repeatability.  Failures print a reason and flip the
-exit code to 1; they do not stop later checks.
+counts, the draw atom the fixed kernels share, and kernel repeatability.
+Failures print a reason and flip the exit code to 1; they do not stop
+later checks.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .adaptation import (
     welford_update,
 )
 from .core import gradient_discrepancy, run_chain
-from .integrator import identity_metric, integrator_state, leapfrog, total_energy
+from .integrator import identity_metric, integrator_state, leapfrog, momentum_draw, total_energy
 from .mcmc import ghmc, hmc, mala, nuts, rwm
-from .rng import fold_in, fold_in_range, make_key, normal_vector, split_key, uniform, uniform_vector
+from .rng import (
+    fold_in, fold_in_range, key_rows, make_key, normal_vector, split_key, uniform, uniform_vector,
+)
 from .sgmcmc import make_gradient_estimator, sghmc_algorithm, sgld_algorithm
 from .smc.resampling import resample, RESAMPLING_METHODS
 from .targets import MCMC_TARGET_NAMES, TARGETS, make_builtin
@@ -125,6 +128,15 @@ def _check_kernels() -> None:
         sgld_algorithm(estimator, 0.01),
         sghmc_algorithm(estimator, 0.01, 0.5),
     ]
+    # The draw atom of RWM, MALA, HMC and GHMC: the key's first child's
+    # normals (the identity metric's momentum), then its second child's uniform.
+    row = momentum_draw()(key, target).tobytes()
+    key_normal, key_uniform = split_key(key, 2)
+    assert row == np.append(normal_vector(key_normal, 2), uniform(key_uniform)).tobytes(), \
+        "draw atom row changed"
+    assert momentum_draw()(key_rows([key]), target)[0].tobytes() == row, "draw atom key array"
+    for algorithm in algorithms[:4]:
+        assert algorithm.step.draw(key).tobytes() == row, "kernel left the shared draw atom"
     position = np.array([0.25, -0.5])
     for algorithm in algorithms:
         state = algorithm.init(position)

@@ -1,0 +1,168 @@
+"""The atoms the fixed kernels share serve one state and an ensemble alike.
+
+``core.evaluate`` is the one shape dispatch for target evaluations,
+``integrator.total_energy`` the one energy rule, ``integrator.momentum_draw``
+the one draw atom of RWM, MALA, HMC and GHMC, and ``proposal.settle`` applies
+each kernel's one accept rule.  An ensemble row must come out bit for bit as
+the single-state call gives it, with the single-state types.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mcbricks.core import AcceptanceInfo, Target, evaluate, evaluate_rows
+from mcbricks.integrator import (
+    IntegratorState,
+    dense_metric,
+    diagonal_metric,
+    identity_metric,
+    momentum_draw,
+    total_energy,
+)
+from mcbricks.mcmc import ghmc, hmc, mala, rwm
+from mcbricks.proposal import settle
+from mcbricks.rng import RngKey, key_rows, make_key, normal_matrix, split_key
+from mcbricks.targets import std_normal
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _metric(kind: str, dim: int):
+    if kind == "identity":
+        return identity_metric(dim)
+    scales = 0.5 + np.arange(dim) / dim
+    if kind == "diagonal":
+        return diagonal_metric(scales)
+    factor = normal_matrix(make_key(dim), dim, dim)
+    return dense_metric(factor @ factor.T + dim * np.eye(dim))
+
+
+_LOGDENSITY = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([math.nan, -math.inf, math.inf, -1e308, 1e308]),
+)
+_COORDINATE = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e160]),
+)
+
+
+def _assert_rows_are_single_state_energies(logdensity, momentum, metric):
+    dim = momentum.shape[1]
+    ensemble = IntegratorState(np.zeros(momentum.shape), momentum, logdensity, np.zeros(momentum.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = total_energy(ensemble, metric)
+        assert energies.shape == logdensity.shape
+        for i in range(len(logdensity)):
+            row = IntegratorState(np.zeros(dim), momentum[i].copy(), float(logdensity[i]), np.zeros(dim))
+            energy = total_energy(row, metric)
+            assert type(energy) is float
+            assert _bits(energies[i]) == _bits(energy)
+            assert not math.isnan(energy) and energy != -math.inf
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+def test_total_energy_maps_nan_minus_inf_and_overflow_rows_to_plus_inf(kind):
+    logdensity = np.array([math.nan, -math.inf, 1.0, -1.0, -2.5])
+    momentum = np.array([[0.5, 1.0], [0.5, 1.0], [math.nan, 0.0], [1e200, 1e200], [0.3, -0.7]])
+    _assert_rows_are_single_state_energies(logdensity, momentum, _metric(kind, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = total_energy(IntegratorState(None, momentum, logdensity, None), _metric(kind, 2))
+    assert energies[:4].tolist() == [math.inf] * 4 and math.isfinite(energies[4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 5),
+    kind=st.sampled_from(["identity", "diagonal", "dense"]),
+    data=st.data(),
+)
+def test_total_energy_rows_are_the_single_state_energies(dim, kind, data):
+    num = data.draw(st.integers(1, 8))
+    logdensity = np.array(data.draw(st.lists(_LOGDENSITY, min_size=num, max_size=num)))
+    momentum = np.array(
+        data.draw(st.lists(_COORDINATE, min_size=num * dim, max_size=num * dim))
+    ).reshape(num, dim)
+    _assert_rows_are_single_state_energies(logdensity, momentum, _metric(kind, dim))
+
+
+def _listed_target(dim: int) -> Target:
+    # Returns a NumPy scalar and a list, so evaluate must convert both.
+    return Target(dim, lambda x: np.float64(-0.5) * (x @ x), lambda x: list(-x))
+
+
+def test_evaluate_one_position_gives_a_float_and_a_float64_array():
+    target = _listed_target(3)
+    logdensity, gradient = evaluate(np.array([1.0, -2.0, 0.5]), target.logdensity, target.gradient)
+    assert type(logdensity) is float and logdensity == -2.625
+    assert type(gradient) is np.ndarray and gradient.dtype == np.float64
+    assert gradient.tolist() == [-1.0, 2.0, -0.5]
+    only, none = evaluate(np.array([1.0, -2.0, 0.5]), target.logdensity)
+    assert type(only) is float and only == logdensity and none is None
+
+
+def test_evaluate_on_a_matrix_is_evaluate_rows():
+    target = _listed_target(2)
+    positions = normal_matrix(make_key(5), 4, 2)
+    densities, gradients = evaluate(positions, target.logdensity, target.gradient)
+    expected_densities, expected_gradients = evaluate_rows(positions, target.logdensity, target.gradient)
+    assert densities.tobytes() == expected_densities.tobytes()
+    assert gradients.tobytes() == expected_gradients.tobytes()
+    only, none = evaluate(positions, target.logdensity)
+    assert only.tobytes() == expected_densities.tobytes() and none is None
+
+
+def test_the_four_fixed_kernels_share_one_draw_atom():
+    target = std_normal(4).target
+    keys = key_rows(split_key(make_key(12), 5))
+    rows = momentum_draw()(keys, target)
+    assert rows.shape == (5, 5)
+    kernels = [
+        rwm.build_kernel(0.5), mala.build_kernel(0.1), hmc.build_kernel(0.2, 3), ghmc.build_kernel(0.2),
+    ]
+    for kernel in kernels:
+        assert kernel.draw(keys, target).tobytes() == rows.tobytes()
+        for i, (hi, lo) in enumerate(keys.tolist()):
+            assert kernel.draw(RngKey(hi, lo), target).tobytes() == rows[i].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_momentum_draw_under_a_metric_is_what_hmc_draws(kind):
+    target = std_normal(3).target
+    metric = _metric(kind, 3)
+    keys = key_rows(split_key(make_key(13), 4))
+    atom = momentum_draw(metric)(keys, target)
+    assert atom.tobytes() == hmc.build_kernel(0.2, 3, metric).draw(keys, target).tobytes()
+    assert atom.tobytes() == ghmc.build_kernel(0.2, 0.5, metric).draw(keys, target).tobytes()
+
+
+def _threshold_rule(u, old, new):
+    accepted = u < new - old
+    return accepted, AcceptanceInfo(new - old, accepted, False, new if accepted else old)
+
+
+def test_settle_on_one_state_returns_the_chosen_state_itself():
+    proposed, current = (np.ones(2), 1.0), (np.zeros(2), 0.0)
+    chosen, info = settle(_threshold_rule, np.array(0.5), (0.0, 1.0), proposed, current)
+    assert chosen is proposed and info == AcceptanceInfo(1.0, True, False, 1.0)
+    assert type(info.p_accept) is float and type(info.accepted) is bool
+    chosen, info = settle(_threshold_rule, np.array(0.5), (0.0, 0.25), proposed, current)
+    assert chosen is current and not info.accepted
+
+
+def test_settle_on_an_ensemble_decides_row_by_row():
+    rule = _threshold_rule
+    proposed = IntegratorState(np.ones((3, 2)), np.ones((3, 2)), np.array([1.0, 0.25, 2.0]), np.ones((3, 2)))
+    current = IntegratorState(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)))
+    u = np.array([0.5, 0.5, 0.5])
+    chosen, infos = settle(rule, u, (current.logdensity, proposed.logdensity.tolist()), proposed, current)
+    assert infos == tuple(rule(0.5, 0.0, new)[1] for new in (1.0, 0.25, 2.0))
+    assert all(type(info.p_accept) is float for info in infos)
+    assert chosen.logdensity.tolist() == [1.0, 0.0, 2.0]
+    assert chosen.position.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
