@@ -101,12 +101,18 @@ class GradientState(NamedTuple):
 
 
 class AcceptanceInfo(NamedTuple):
-    """Outcome of one accept/reject transition; ``energy`` is that of the returned state."""
+    """Outcome of one accept/reject transition; ``energy`` is that of the returned state.
+
+    The one record of the fixed kernels: RWM and MALA leave
+    ``num_integration_steps`` (the leapfrog steps the move took) at 0, GHMC
+    reports 1 and HMC its trajectory length.
+    """
 
     p_accept: float
     accepted: bool
     is_divergent: bool
     energy: float
+    num_integration_steps: int = 0
 
 
 def init(position: np.ndarray, target: Target) -> GradientState:

@@ -25,7 +25,7 @@ __all__ = [
 
 
 class DegenerateChainsError(ValueError):
-    """Chains carry no within-chain variance; diagnostics are undefined."""
+    """Chains carry no within-chain variance or a non-finite draw; diagnostics are undefined."""
 
 
 def _validate(stack: np.ndarray) -> np.ndarray:
@@ -36,6 +36,8 @@ def _validate(stack: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one chain")
     if stack.shape[1] < 4:
         raise ValueError("need at least four draws per chain")
+    if not np.isfinite(stack).all():
+        raise DegenerateChainsError("draws contain NaN or infinite values")
     return stack
 
 

@@ -13,8 +13,8 @@ rule once and step a single state or an ensemble with one body, through
 
 MALA, HMC and NUTS share :class:`mcbricks.core.GradientState` and its
 ``init``; RWM (no gradient) and GHMC (persistent momentum and slice) keep
-their own states.  RWM, MALA and GHMC report
-:class:`mcbricks.core.AcceptanceInfo`; HMC and NUTS extend it.  Endpoints
+their own states.  RWM, MALA, HMC and GHMC report one record,
+:class:`mcbricks.core.AcceptanceInfo`; NUTS extends it.  Endpoints
 are scored by :func:`mcbricks.integrator.total_energy`, non-finite as +inf,
 row by row for an ensemble.
 """

@@ -108,7 +108,7 @@ def build_kernel(
         )
         chosen = chosen._replace(slice_var=drift_slice(draws.item(-1), new_slice, slice_jitter))
         energy = energy_end if accepted else energy_start
-        return chosen, AcceptanceInfo(p_accept, accepted, not math.isfinite(energy_end), energy)
+        return chosen, AcceptanceInfo(p_accept, accepted, not math.isfinite(energy_end), energy, 1)
 
     kernel.draw = draw
     return kernel

@@ -11,9 +11,11 @@ draw atom :func:`~mcbricks.integrator.momentum_draw` (see
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-from ..core import GradientState, SamplingAlgorithm, Target, bind, init, kernel_draws
+from ..core import (
+    AcceptanceInfo, GradientState, SamplingAlgorithm, Target, bind, init, kernel_draws,
+)
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -26,17 +28,9 @@ from ..integrator import (
 from ..proposal import binomial_decision, safe_energy_diff, settle
 from ..rng import RngKey
 
-__all__ = ["HmcInfo", "init", "build_kernel", "as_algorithm"]
+__all__ = ["init", "build_kernel", "as_algorithm"]
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1000.0
-
-
-class HmcInfo(NamedTuple):
-    p_accept: float
-    accepted: bool
-    is_divergent: bool
-    energy: float
-    num_integration_steps: int
 
 
 def build_kernel(
@@ -44,7 +38,7 @@ def build_kernel(
     num_integration_steps: int,
     metric: Optional[Metric] = None,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, HmcInfo]]:
+) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, AcceptanceInfo]]:
     """Momentum resampling, a leapfrog trajectory, then binomial acceptance.
 
     The log acceptance ratio is ``H(start) - H(end)`` on total energies.
@@ -64,7 +58,7 @@ def build_kernel(
         raise ValueError("need at least one integration step")
     draw = momentum_draw(metric)
 
-    def decide(u: float, energy_start: float, energy_end: float) -> tuple[bool, HmcInfo]:
+    def decide(u: float, energy_start: float, energy_end: float) -> tuple[bool, AcceptanceInfo]:
         log_ratio = safe_energy_diff(energy_start, energy_end)
         p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
         divergent = not math.isfinite(energy_end) or (energy_end - energy_start) > divergence_threshold
@@ -72,9 +66,9 @@ def build_kernel(
         if not divergent:
             accepted, p_accept = binomial_decision(u, log_ratio)
         energy = energy_end if accepted else energy_start
-        return accepted, HmcInfo(p_accept, accepted, divergent, energy, num_integration_steps)
+        return accepted, AcceptanceInfo(p_accept, accepted, divergent, energy, num_integration_steps)
 
-    def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, HmcInfo]:
+    def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
         draws = kernel_draws(key, draw, target)
         momentum = draws[..., :-1]

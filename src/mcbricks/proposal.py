@@ -23,9 +23,7 @@ import numpy as np
 from .rng import RngKey, uniform
 
 __all__ = [
-    "Proposal",
     "SliceVariable",
-    "make_proposal",
     "safe_energy_diff",
     "asymmetric_log_ratio",
     "binomial_decision",
@@ -40,25 +38,10 @@ __all__ = [
 _OPEN_ONE = math.nextafter(1.0, 0.0)
 
 
-class Proposal(NamedTuple):
-    """A candidate state with its energy and log acceptance ratio."""
-
-    state: Any
-    energy: float
-    log_ratio: float
-
-
 class SliceVariable(NamedTuple):
     """Persistent slice variable ``u`` in the open interval (-1, 1)."""
 
     u: float
-
-
-def make_proposal(state: Any, energy: float, log_ratio: float) -> Proposal:
-    """Build a :class:`Proposal`, forcing ``log_ratio = -inf`` on bad energy."""
-    if not math.isfinite(energy):
-        log_ratio = -math.inf
-    return Proposal(state, energy, log_ratio)
 
 
 def safe_energy_diff(prev_energy: float, new_energy: float) -> float:

@@ -141,7 +141,8 @@ def _word(seed: int, index: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _counter_steps(count: int) -> np.ndarray:
-    # ``arange(count) * GOLDEN``, shared read-only between calls and threads.
+    # ``arange(count) * GOLDEN``, cached and so shared by every later call:
+    # read-only, so no caller can change another's counters.
     steps = np.arange(count, dtype=np.uint64) * _NP_GOLDEN
     steps.setflags(write=False)
     return steps

@@ -79,19 +79,21 @@ def _sigmoid(scores: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_std_normal(x: np.ndarray) -> float:
+    # The N(0, I) log density up to a constant: std_normal and the priors.
+    return -0.5 * float(x @ x)
+
+
+def _grad_std_normal(x: np.ndarray) -> np.ndarray:
+    return -x
+
+
 def std_normal(dim: int) -> BuiltinTarget:
     """Standard normal in ``dim`` dimensions."""
     TARGETS["std_normal"].check_dim(dim)
-
-    def logdensity(x: np.ndarray) -> float:
-        return -0.5 * float(x @ x)
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return -x
-
     return BuiltinTarget(
         "std_normal",
-        Target(dim, logdensity, gradient),
+        Target(dim, _log_std_normal, _grad_std_normal),
         (np.zeros(dim), np.ones(dim)),
     )
 
@@ -209,12 +211,11 @@ def make_logistic_data(key: RngKey) -> LogisticData:
 
 def _logistic_terms(data: LogisticData):
     design, labels = data.design, data.labels
-    # Samplers ask for the density and the gradient at the same position
-    # (leapfrog and init density first, the VI step gradient first), so the
-    # linear predictor ``design @ w`` of the last position is kept.  The
-    # entry is one (position bytes, scores) tuple, replaced whole, so
-    # threads sharing the target never pair one position's key with
-    # another's scores; a miss only costs the matmul.
+    # Samplers ask for the density and then the gradient at the same
+    # position (``core.evaluate`` and ``evaluate_rows`` do), so the linear
+    # predictor ``design @ w`` of the last position is kept.  The entry is
+    # keyed by the position's bytes, not by the array, because a caller may
+    # refill one array with a new position; a miss only costs the matmul.
     memo = (None, None)
 
     def scores_at(w: np.ndarray) -> np.ndarray:
@@ -245,10 +246,10 @@ def logistic_synth(key: RngKey) -> BuiltinTarget:
     loglik, grad_loglik = _logistic_terms(make_logistic_data(key))
 
     def logdensity(w: np.ndarray) -> float:
-        return -0.5 * float(w @ w) + loglik(w)
+        return _log_std_normal(w) + loglik(w)
 
     def gradient(w: np.ndarray) -> np.ndarray:
-        return -w + grad_loglik(w)
+        return _grad_std_normal(w) + grad_loglik(w)
 
     return BuiltinTarget(
         "logistic_synth",
@@ -297,22 +298,16 @@ def _conjugate_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dic
     col_sums = observations.sum(axis=0)
     sq_total = float(np.sum(observations * observations))
 
-    def log_prior(x: np.ndarray) -> float:
-        return -0.5 * float(x @ x)
-
-    def grad_prior(x: np.ndarray) -> np.ndarray:
-        return -x
-
-    def log_likelihood(x: np.ndarray) -> float:
+    def loglik(x: np.ndarray) -> float:
         # sum_j -0.5 ||y_j - x||^2, constants included so the evidence
         # estimate matches the normalized model.
         quad = count * float(x @ x) - 2.0 * float(col_sums @ x) + sq_total
         return -0.5 * quad - 0.5 * count * dim * math.log(2.0 * math.pi)
 
-    def grad_likelihood(x: np.ndarray) -> np.ndarray:
+    def grad_loglik(x: np.ndarray) -> np.ndarray:
         return col_sums - count * x
 
-    tempered = TemperedTarget(dim, log_prior, grad_prior, log_likelihood, grad_likelihood)
+    tempered = TemperedTarget(dim, _log_std_normal, _grad_std_normal, loglik, grad_loglik)
     return tempered, {"observations": observations}
 
 
@@ -326,11 +321,7 @@ def _logistic_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dict
     data = make_logistic_data(data_key)
     loglik, grad_loglik = _logistic_terms(data)
     tempered = TemperedTarget(
-        LOGISTIC_NUM_FEATURES,
-        lambda w: -0.5 * float(w @ w),
-        lambda w: -w,
-        loglik,
-        grad_loglik,
+        LOGISTIC_NUM_FEATURES, _log_std_normal, _grad_std_normal, loglik, grad_loglik
     )
     return tempered, {"data": data}
 

@@ -6,6 +6,11 @@ parameter-free noise xi, so ELBO gradients flow through the target's
 gradient alone; the entropy term is closed-form.  A pluggable first-order
 optimizer (SGD or Adam here) performs the ascent, keeping its own
 accumulator inside the variational state.
+
+The draws of a step come out as one ``(num_samples, dim)`` matrix, and
+:func:`~mcbricks.core.evaluate_rows` gives their log densities and
+gradients, the same per-row target loop the SMC ensemble uses; this module
+calls no target callable itself.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import ApproxAlgorithm, Target
+from .core import ApproxAlgorithm, Target, evaluate_rows
 from .rng import RngKey, normal_matrix
 
 __all__ = [
@@ -112,6 +117,16 @@ def _draws(key: RngKey, state: MeanFieldState, num_samples: int) -> tuple[np.nda
     return state.mu + sigma * xi, xi, sigma
 
 
+def _elbo(logdensities: np.ndarray, log_sigma: np.ndarray) -> float:
+    # Mean log density, summed in row order from 0.0 (a pairwise sum would
+    # change the last bits), plus the closed-form entropy.
+    total = 0.0
+    for value in logdensities.tolist():
+        total += value
+    dim = log_sigma.shape[0]
+    return total / len(logdensities) + float(np.sum(log_sigma)) + dim * _HALF_LOG_2PI_E
+
+
 def elbo_estimate(
     key: RngKey,
     state: MeanFieldState,
@@ -121,17 +136,13 @@ def elbo_estimate(
     """Monte Carlo evidence lower bound with closed-form entropy.
 
     ``mean_j log pi(z_j) + sum_i log sigma_i + (dim/2) log(2 pi e)`` over
-    ``num_samples`` reparameterized draws.
+    ``num_samples`` reparameterized draws, evaluated by
+    :func:`~mcbricks.core.evaluate_rows`.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     draws, _, _ = _draws(key, state, num_samples)
-    mean_logdensity = float(
-        np.mean([float(target.logdensity(z)) for z in draws])
-    )
-    dim = state.mu.shape[0]
-    entropy = float(np.sum(state.log_sigma)) + dim * _HALF_LOG_2PI_E
-    return mean_logdensity + entropy
+    return _elbo(evaluate_rows(draws, target.logdensity)[0], state.log_sigma)
 
 
 def vi_step(
@@ -145,33 +156,28 @@ def vi_step(
 
     Pathwise gradients: ``d/dmu = mean_j grad log pi(z_j)`` and
     ``d/dlog_sigma = mean_j [grad log pi(z_j) * xi_j * sigma] + 1`` (the
-    entropy contributes the constant 1).  The info carries the matching
-    ELBO estimate from the same draws.
+    entropy contributes the constant 1).  The draws' densities and gradients
+    come from :func:`~mcbricks.core.evaluate_rows`, and the info carries the
+    ELBO estimate of the same draws.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     draws, xi, sigma = _draws(key, state, num_samples)
+    logdensities, gradients = evaluate_rows(draws, target.logdensity, target.gradient)
     dim = state.mu.shape[0]
+    # Row-order sums from zero, as for the ELBO.
     grad_sum = np.zeros(dim)
     grad_scale_sum = np.zeros(dim)
-    logdensity_sum = 0.0
-    for j in range(num_samples):
-        grad = np.asarray(target.gradient(draws[j]), dtype=float)
+    for grad, noise in zip(gradients, xi):
         grad_sum += grad
-        grad_scale_sum += grad * xi[j]
-        logdensity_sum += float(target.logdensity(draws[j]))
+        grad_scale_sum += grad * noise
     grad_mu = grad_sum / num_samples
     grad_log_sigma = (grad_scale_sum / num_samples) * sigma + 1.0
-    elbo = (
-        logdensity_sum / num_samples
-        + float(np.sum(state.log_sigma))
-        + dim * _HALF_LOG_2PI_E
-    )
     params = np.concatenate([state.mu, state.log_sigma])
     gradient = np.concatenate([grad_mu, grad_log_sigma])
     new_params, opt_state = optimizer.update(gradient, state.opt_state, params)
     new_state = MeanFieldState(new_params[:dim], new_params[dim:], opt_state)
-    return new_state, ViInfo(elbo)
+    return new_state, ViInfo(_elbo(logdensities, state.log_sigma))
 
 
 def vi_sample(key: RngKey, state: MeanFieldState, num_samples: int) -> np.ndarray:

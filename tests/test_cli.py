@@ -546,3 +546,17 @@ def test_smc_summary_records_every_stage(tmp_path, mutation, steps):
     for stage in stages:
         log_z += stage["log_z_increment"]
     assert log_z == smc["log_z"]
+
+
+def test_diverging_vi_fit_exits_numerically_without_a_summary(tmp_path, capsys):
+    """A fit that overflows to non-finite draws is a numerical failure, not nulls."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out_dir = _run_cli(tmp_path, "vi", [
+            "run-vi", "--target", "funnel", "--dim", "4", "--optimizer", "sgd",
+            "--learning-rate", "100", "--num-steps", "50", "--seed", "1",
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: draws contain NaN or infinite values\n"
+    assert not (out_dir / "summary.json").exists()

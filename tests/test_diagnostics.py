@@ -163,3 +163,13 @@ def test_summarize_tolerates_infoless_steps():
     summary = summarize(stack, [None, None, None])
     assert math.isnan(summary.acceptance_mean)
     assert summary.divergences == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("diagnostic", [summarize, split_rhat, effective_sample_size],
+                         ids=lambda fn: fn.__name__)
+def test_non_finite_draws_are_degenerate(diagnostic, bad):
+    stack = _iid_stack(5, 2, 40, 3)
+    stack[1, 17, 2] = bad
+    with pytest.raises(DegenerateChainsError, match="NaN or infinite"):
+        diagnostic(stack)

@@ -9,7 +9,6 @@ from mcbricks.proposal import (
     SliceVariable,
     asymmetric_log_ratio,
     binomial_accept,
-    make_proposal,
     nonreversible_slice_accept,
     perturb_slice,
     safe_energy_diff,
@@ -40,12 +39,6 @@ def test_asymmetric_log_ratio_safety_clause():
     assert asymmetric_log_ratio(0.0, math.nan, -1.0, -2.0) == -math.inf
     assert asymmetric_log_ratio(0.0, math.inf, -1.0, -2.0) == -math.inf
     assert asymmetric_log_ratio(0.0, 0.0, -math.inf, -math.inf) == -math.inf
-
-
-def test_make_proposal_forces_rejection_on_bad_energy():
-    assert make_proposal("s", math.inf, 0.5).log_ratio == -math.inf
-    assert make_proposal("s", math.nan, 0.5).log_ratio == -math.inf
-    assert make_proposal("s", 1.0, 0.5).log_ratio == 0.5
 
 
 def test_binomial_accept_always_accepts_nonnegative_ratio():

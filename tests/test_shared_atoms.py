@@ -166,3 +166,29 @@ def test_settle_on_an_ensemble_decides_row_by_row():
     assert all(type(info.p_accept) is float for info in infos)
     assert chosen.logdensity.tolist() == [1.0, 0.0, 2.0]
     assert chosen.position.tolist() == [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+# ------------------------------------------------- one acceptance record
+
+
+@pytest.mark.parametrize("module, kernel, steps", [
+    (rwm, rwm.build_kernel(0.5), 0),
+    (mala, mala.build_kernel(0.1), 0),
+    (hmc, hmc.build_kernel(0.2, 7), 7),
+    (ghmc, ghmc.build_kernel(0.2), 1),
+], ids=["rwm", "mala", "hmc", "ghmc"])
+def test_fixed_kernels_report_one_acceptance_record(module, kernel, steps):
+    target = std_normal(3).target
+    state = module.init(np.array([0.3, -0.2, 0.1]), target)
+    _, info = kernel(make_key(21), state, target)
+    assert type(info) is AcceptanceInfo
+    assert info.num_integration_steps == steps
+
+
+def test_every_hmc_ensemble_row_reports_the_trajectory_length():
+    target = std_normal(3).target
+    state = hmc.init(normal_matrix(make_key(22), 5, 3), target)
+    _, infos = hmc.build_kernel(0.2, 7)(key_rows(split_key(make_key(23), 5)), state, target)
+    assert len(infos) == 5
+    assert all(type(info) is AcceptanceInfo for info in infos)
+    assert [info.num_integration_steps for info in infos] == [7] * 5

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcbricks.core import Target
 from mcbricks.rng import fold_in, make_key, normal_matrix
@@ -238,3 +239,127 @@ def test_meanfield_vi_recovers_a_diagonal_gaussian():
     draws = algorithm.sample(fold_in(key, 9999), state, 4000)
     assert draws.shape == (4000, 2)
     assert np.max(np.abs(draws.mean(axis=0) - mu_true)) < 0.1
+
+
+# ------------------------------------------------ one evaluation path
+
+
+def _reference_vi_step(key, state, target, optimizer, num_samples):
+    """The per-draw loop ``vi_step`` ran before it evaluated through ``evaluate_rows``."""
+    sigma = np.exp(state.log_sigma)
+    xi = normal_matrix(key, num_samples, state.mu.shape[0])
+    draws = state.mu + sigma * xi
+    dim = state.mu.shape[0]
+    grad_sum = np.zeros(dim)
+    grad_scale_sum = np.zeros(dim)
+    logdensity_sum = 0.0
+    for j in range(num_samples):
+        grad = np.asarray(target.gradient(draws[j]), dtype=float)
+        grad_sum += grad
+        grad_scale_sum += grad * xi[j]
+        logdensity_sum += float(target.logdensity(draws[j]))
+    grad_mu = grad_sum / num_samples
+    grad_log_sigma = (grad_scale_sum / num_samples) * sigma + 1.0
+    elbo = logdensity_sum / num_samples + float(np.sum(state.log_sigma)) + dim * _HALF_LOG_2PI_E
+    params = np.concatenate([state.mu, state.log_sigma])
+    gradient = np.concatenate([grad_mu, grad_log_sigma])
+    new_params, opt_state = optimizer.update(gradient, state.opt_state, params)
+    return new_params, opt_state, elbo
+
+
+def _hinge_target(dim):
+    # Gradient components are -0.0 wherever a coordinate is negative.
+    def logdensity(x):
+        positive = np.maximum(x, 0.0)
+        return -0.5 * float(positive @ positive)
+
+    def gradient(x):
+        return -np.maximum(x, 0.0)
+
+    return Target(dim, logdensity, gradient)
+
+
+def _wide_target(dim):
+    # Terms of very different sizes, so any reordered sum shows in the bits.
+    scales = 10.0 ** np.linspace(-3.0, 3.0, dim)
+
+    def logdensity(x):
+        return -0.25 * float(np.sum(scales * x**4)) + float(np.sum(np.sin(7.0 * x)))
+
+    def gradient(x):
+        return -scales * x**3 + 7.0 * np.cos(7.0 * x)
+
+    return Target(dim, logdensity, gradient)
+
+
+_REFERENCE_TARGETS = {
+    "hinge": _hinge_target,
+    "wide": _wide_target,
+    "gaussian": lambda dim: _normalized_gaussian(np.linspace(-2.0, 3.0, dim), np.full(dim, 0.7)),
+}
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 6),
+    num_samples=st.integers(1, 70),
+    name=st.sampled_from(sorted(_REFERENCE_TARGETS)),
+    use_adam=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    mu_scale=st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+    log_sigma=st.floats(-4.0, 2.0),
+)
+def test_vi_step_matches_the_per_draw_loop_bit_for_bit(
+    dim, num_samples, name, use_adam, seed, mu_scale, log_sigma
+):
+    target = _REFERENCE_TARGETS[name](dim)
+    optimizer = adam(0.05) if use_adam else sgd(0.01)
+    mu = mu_scale * normal_matrix(make_key(seed), 1, dim)[0]
+    state = meanfield_init(mu, optimizer)._replace(
+        log_sigma=log_sigma + np.linspace(0.0, 0.5, dim)
+    )
+    if use_adam:
+        state, _ = vi_step(fold_in(make_key(seed), 1), state, target, optimizer, num_samples)
+    key = fold_in(make_key(seed), 2)
+    params, opt_state, elbo = _reference_vi_step(key, state, target, optimizer, num_samples)
+    new_state, info = vi_step(key, state, target, optimizer, num_samples)
+    assert _bits(new_state.mu) == _bits(params[:dim])
+    assert _bits(new_state.log_sigma) == _bits(params[dim:])
+    assert _bits(info.elbo) == _bits(elbo)
+    if use_adam:
+        assert _bits(new_state.opt_state.first_moment) == _bits(opt_state.first_moment)
+        assert _bits(new_state.opt_state.second_moment) == _bits(opt_state.second_moment)
+
+
+def test_vi_calls_no_target_callable_outside_evaluate_rows(monkeypatch):
+    from mcbricks import core, vi
+
+    rows_seen = []
+    real = core.evaluate_rows
+
+    def spy(positions, logdensity, gradient=None):
+        rows_seen.append(positions.shape)
+        return real(positions, logdensity, gradient)
+
+    calls = []
+    base = _normalized_gaussian([0.5, -1.0], [1.0, 2.0])
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(len(rows_seen))
+            return fn(x)
+
+        return wrapper
+
+    target = Target(2, counted(base.logdensity), counted(base.gradient))
+    monkeypatch.setattr(vi, "evaluate_rows", spy)
+    state = meanfield_init(np.zeros(2), sgd(0.1))
+    vi_step(make_key(1), state, target, sgd(0.1), 4)
+    elbo_estimate(make_key(2), state, target, 3)
+    assert rows_seen == [(4, 2), (3, 2)]
+    # Every target call happened inside one of the two evaluate_rows calls.
+    assert calls == [1] * 8 + [2] * 3
