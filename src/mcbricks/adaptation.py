@@ -16,14 +16,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import GradientState, Target, init
+from .core import GradientState, Target, bound_draw, init, step_inputs
 from .integrator import (
     IntegratorState,
     Metric,
+    _kinetic_energy,
     dense_metric,
     diagonal_metric,
     identity_metric,
-    kinetic_energy,
     leapfrog,
     sample_momentum,
     total_energy,
@@ -222,7 +222,7 @@ def find_reasonable_step_size(
         raise ValueError("initial step size must be strictly positive")
     momentum = sample_momentum(key, metric)
     start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
-    energy_start = -start.logdensity + kinetic_energy(momentum, metric)
+    energy_start = -start.logdensity + _kinetic_energy(momentum, metric)
 
     def acceptance(step: float) -> float:
         energy_end = total_energy(leapfrog(start, step, metric, target), metric)
@@ -269,7 +269,9 @@ def window_adaptation(
     """Run staged warmup and return the tuned step size, metric, and state.
 
     ``kernel_family`` selects the transition used during warmup: ``"nuts"``
-    or ``"hmc"`` (fixed ``num_integration_steps``).  Dual averaging runs in
+    or ``"hmc"`` (fixed ``num_integration_steps``).  Iteration ``i`` moves
+    under ``fold_in(key_run, i)``, its record drawn with the stage's block
+    through :func:`~mcbricks.core.step_inputs`.  Dual averaging runs in
     every stage; the covariance accumulator only sees slow-window samples.
     At each slow-window boundary the metric is rebuilt from the window, the
     accumulator resets, and the step size restarts from a fresh
@@ -279,15 +281,17 @@ def window_adaptation(
     if kernel_family not in ("nuts", "hmc"):
         raise ValueError("kernel family must be 'nuts' or 'hmc'")
     check_settings(num_warmup, target_accept)
+    initial_position = np.asarray(initial_position, dtype=float)
+    if initial_position.shape != (target.dim,):
+        raise ValueError(
+            f"initial position of shape {initial_position.shape} "
+            f"does not match target dimension {target.dim}"
+        )
 
-    def transition(key: RngKey, state: GradientState, step_size: float, metric: Metric):
+    def build(step_size: float, metric: Metric):
         if kernel_family == "nuts":
-            kernel = nuts.build_kernel(step_size, metric, max_depth, divergence_threshold)
-        else:
-            kernel = hmc.build_kernel(
-                step_size, num_integration_steps, metric, divergence_threshold
-            )
-        return kernel(key, state, target)
+            return nuts.build_kernel(step_size, metric, max_depth, divergence_threshold)
+        return hmc.build_kernel(step_size, num_integration_steps, metric, divergence_threshold)
 
     state = init(initial_position, target)
     metric = identity_metric(target.dim)
@@ -305,14 +309,16 @@ def window_adaptation(
         for kind, length in schedule.stages:
             if kind == "slow":
                 welford = welford_init(target.dim, mass)
-            for _ in range(length):
-                state, info = transition(
-                    fold_in(key_run, iteration), state, math.exp(da.log_step), metric
-                )
-                iteration += 1
+            # Iteration i runs under fold_in(key_run, i).  A block of records
+            # stays within its stage: HMC's rows carry the stage's metric.
+            draw = bound_draw(build(math.exp(da.log_step), metric), target)
+            for _, record in step_inputs(key_run, draw, iteration, iteration + length, draw.floats):
+                kernel = build(math.exp(da.log_step), metric)
+                state, info = kernel(record, state, target)
                 da = da_update(da, info.p_accept, target_accept)
                 if kind == "slow":
                     welford = welford_update(welford, state.position)
+            iteration += length
             if kind == "slow":
                 metric = welford_finalize(welford, regularize=True)
                 boundary += 1

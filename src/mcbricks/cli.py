@@ -263,12 +263,16 @@ def _json_ready(value):
 
 
 def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] = None) -> Path:
-    """Write samples.csv and summary.json into ``--output-dir``; return it."""
+    """Write samples.csv and summary.json into ``--output-dir``; return it.
+
+    The draws are summarised first, so a numerical failure there (exit 3)
+    writes no file at all.
+    """
+    stack = np.stack(chains)
+    summary = summarize(stack, infos)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out_dir / "samples.csv", chains)
-    stack = np.stack(chains)
-    summary = summarize(stack, infos)
     per_dim = [
         [summary.mean[d], summary.std[d], summary.ess[d], summary.rhat[d]]
         for d in range(stack.shape[2])
@@ -363,8 +367,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = [run_one_chain(fold_in(key_run, c)) for c in range(args.num_chains)]
     chains = [positions for positions, _ in results]
     infos = [info for _, chain_infos in results for info in chain_infos]
-    _write_outputs(args, chains, infos, started)
+    extras = {"nuts": _tree_counters(infos, args.max_depth)} if args.algorithm == "nuts" else None
+    _write_outputs(args, chains, infos, started, extras)
     return 0
+
+
+def _tree_counters(infos: list, max_depth: int) -> dict:
+    """Mean leapfrogs per step and the count of steps at each tree depth ``0..max_depth``."""
+    leapfrogs = sum(info.num_integration_steps for info in infos)
+    depths = np.bincount([info.tree_depth for info in infos], minlength=max_depth + 1)
+    return {"mean_leapfrogs_per_step": leapfrogs / len(infos), "tree_depth_counts": depths.tolist()}
 
 
 def _cmd_run_smc(args: argparse.Namespace) -> int:

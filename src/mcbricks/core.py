@@ -8,21 +8,24 @@ protocol: ``init`` builds the algorithm state from a starting position,
 ``(new_state, info)``.  Because steps are pure, running a chain is a plain
 fold and replaying it with the same key reproduces every draw bitwise.
 
-A kernel whose randomness is a fixed set of draws from its key (RWM, MALA,
-HMC, GHMC) carries a *draw atom* as its ``draw`` attribute, one shared
-factory (:func:`mcbricks.integrator.momentum_draw`): it maps an ``(m, 2)``
-key array to one row of randomness per key, and the kernel takes such a row
-in place of the key.  :func:`bind` hands the atom on to the step, and
-:func:`run_chain` uses it to draw a block of steps at once.  These kernels
-step one state or an ensemble with one body, :func:`evaluate` being the one
-place that tells the two shapes apart for the target.
+Every built-in kernel carries a *draw atom* as its ``draw`` attribute: it
+maps an ``(m, 2)`` key array to one record of randomness per key, and the
+kernel takes such a record in place of the key.  RWM, MALA, HMC and GHMC
+share one atom (:func:`mcbricks.integrator.momentum_draw`), whose record is
+a ``float64`` row; NUTS fixes every number a tree could use from the key
+before it builds the tree (:func:`mcbricks.mcmc.nuts.build_kernel`).  An
+atom's ``floats(dim)`` is the size of its record.  :func:`bind` hands the
+atom on to the step, and :func:`step_inputs` serves the steps of a chain a
+block at a time; :func:`run_chain` and warmup draw through it.  The fixed
+kernels step one state or an ensemble with one body, :func:`evaluate`
+being the one place that tells the two shapes apart for the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +42,9 @@ __all__ = [
     "evaluate",
     "evaluate_rows",
     "bind",
+    "bound_draw",
     "kernel_draws",
+    "step_inputs",
     "run_chain",
     "gradient_discrepancy",
 ]
@@ -163,16 +168,30 @@ def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple])
     """Package ``init(position, target)`` and ``kernel(key, state, target)``.
 
     When the kernel has a draw atom, the step gets it as ``step.draw(keys)``,
-    bound to ``target``.
+    bound to ``target`` (see :func:`bound_draw`).
     """
 
     def step(key, state):
         return kernel(key, state, target)
 
-    draw = getattr(kernel, "draw", None)
+    draw = bound_draw(kernel, target)
     if draw is not None:
-        step.draw = partial(draw, target=target)
+        step.draw = draw
     return SamplingAlgorithm(init=partial(init, target=target), step=step)
+
+
+def bound_draw(kernel: Callable, target: Target) -> Optional[Callable]:
+    """``kernel``'s draw atom bound to ``target``, or ``None`` if it has none.
+
+    The bound atom maps a key array to its records; its ``floats`` is the
+    size of one record, which :func:`step_inputs` caps blocks by.
+    """
+    draw = getattr(kernel, "draw", None)
+    if draw is None:
+        return None
+    bound = partial(draw, target=target)
+    bound.floats = draw.floats(target.dim)
+    return bound
 
 
 def kernel_draws(key: Any, draw: Callable, target: Target, ensemble: bool = True) -> np.ndarray:
@@ -207,10 +226,28 @@ class ChainError(RuntimeError):
         self.step_index = step_index
 
 
-# Steps per block of keys drawn at once by run_chain, and the cap on the
-# floats a block of pre-drawn rows may hold, so memory does not grow with dim.
+# Steps per block of keys drawn at once by step_inputs, and the cap on the
+# floats a block of records may hold, so memory does not grow with dim.
 _BLOCK_STEPS = 256
 _BLOCK_FLOATS = 1 << 15
+
+
+def step_inputs(key: RngKey, draw: Optional[Callable], start: int, stop: int, floats: int) -> Iterator:
+    """Yield ``(i, input)`` for the steps ``start <= i < stop`` of a chain under ``key``.
+
+    Step ``i`` belongs to ``fold_in(key, i)``.  The keys are derived a block
+    at a time with :func:`~mcbricks.rng.fold_in_range`, and with a draw atom
+    (``draw(keys)``, as :func:`bound_draw` gives it) each block's records
+    are drawn in one call: the input is the step's record, which moves the
+    kernel exactly as its key would.  Without one the input is the key as
+    an :class:`RngKey`.  A block holds at most ``_BLOCK_STEPS`` steps and
+    ``_BLOCK_FLOATS`` floats of records of ``floats`` floats each.
+    """
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // floats))
+    for first in range(start, stop, block):
+        keys = fold_in_range(key, first, min(first + block, stop))
+        inputs = draw(keys) if draw is not None else map(RngKey._make, keys.tolist())
+        yield from enumerate(inputs, first)
 
 
 def run_chain(
@@ -221,13 +258,12 @@ def run_chain(
 ) -> tuple[Any, list, np.ndarray]:
     """Fold ``step`` over ``num_steps`` per-iteration child keys.
 
-    Step ``i`` runs under ``fold_in(key, i)``.  The keys are derived a block
-    of steps at a time with :func:`~mcbricks.rng.fold_in_range`.  When
-    ``step`` has a draw atom (``step.draw``, set by :func:`bind` for RWM,
-    MALA, HMC and GHMC), the block's randomness is drawn in one call and
-    each step gets its pre-drawn row, which moves it exactly as its key
-    would.  Otherwise (NUTS, whose draws depend on the tree it builds, and
-    any other step) each step gets its key as an :class:`RngKey`.
+    Step ``i`` runs under ``fold_in(key, i)``, its input served by
+    :func:`step_inputs`: when ``step`` has a draw atom (``step.draw``, set
+    by :func:`bind` for every built-in kernel), each step gets its record
+    from a block drawn in one call; any other step gets its key as an
+    :class:`RngKey`.  A draw atom without a ``floats`` size counts as
+    ``dim + 1`` floats per record, the size of a fixed kernel's row.
 
     Returns ``(final_state, infos, positions)`` where ``infos`` collects the
     per-step info records and ``positions`` is the ``(num_steps, dim)``
@@ -240,22 +276,19 @@ def run_chain(
     positions = np.empty((num_steps, dim))
     infos: list = []
     draw = getattr(step, "draw", None)
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_FLOATS // (dim + 1)))
+    inputs = step_inputs(key, draw, 0, num_steps, getattr(draw, "floats", dim + 1))
     # Kernels absorb transient non-finite arithmetic via their divergence
     # handling, so suppress the corresponding warnings for the whole sweep.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, num_steps, block):
-            keys = fold_in_range(key, start, min(start + block, num_steps))
-            rows = draw(keys) if draw is not None else map(RngKey._make, keys.tolist())
-            for i, row in enumerate(rows, start):
-                try:
-                    state, info = step(row, state)
-                except ChainError:
-                    raise
-                except Exception as exc:
-                    raise ChainError(i, exc) from exc
-                infos.append(info)
-                positions[i] = state.position
+        for i, row in inputs:
+            try:
+                state, info = step(row, state)
+            except ChainError:
+                raise
+            except Exception as exc:
+                raise ChainError(i, exc) from exc
+            infos.append(info)
+            positions[i] = state.position
     return state, infos, positions
 
 

@@ -11,14 +11,20 @@ with kinetic energy ``0.5 * p^T M^{-1} p``.  Identity and diagonal metrics
 store the inverse mass as a vector; dense metrics store the full inverse
 mass matrix plus a Cholesky factor of M for momentum sampling.
 
-``kinetic_energy``, ``sample_momentum``, ``velocity``, ``total_energy``,
-``leapfrog`` and ``trajectory`` also take an ensemble: positions, momenta
-and gradients as ``(n, dim)`` matrices, log densities and energies as
-``(n,)`` vectors, and one key per row for momentum draws.  Each row comes
-out bit for bit as the single-state call on that row would give it.
+``kinetic_energy``, ``sample_momentum``, ``scale_momentum``, ``velocity``,
+``total_energy``, ``leapfrog`` and ``trajectory`` also take an ensemble:
+positions, momenta and gradients as ``(n, dim)`` matrices, log densities
+and energies as ``(n,)`` vectors, and one key per row for momentum draws.
+Each row comes out bit for bit as the single-state call on that row would
+give it.
 
 :func:`momentum_draw` builds the one draw atom of the RWM, MALA, HMC and
 GHMC kernels: per step key, a momentum and one uniform.
+
+``kinetic_energy`` checks the momentum against the metric; the energy
+rules of the kernels skip that check on every leapfrog.  A metric meets its
+target once, when an algorithm is built (:func:`check_metric`), and is
+checked there.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ __all__ = [
     "diagonal_metric",
     "dense_metric",
     "integrator_state",
+    "check_metric",
     "kinetic_energy",
     "sample_momentum",
+    "scale_momentum",
     "momentum_draw",
     "velocity",
     "total_energy",
@@ -124,6 +132,18 @@ def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, vectors[:, :, None])[:, :, 0]
 
 
+def check_metric(metric: Metric, dim: int) -> None:
+    """Raise ``ValueError`` unless ``metric`` acts on ``dim`` coordinates.
+
+    Without this check a metric of the wrong size would broadcast silently
+    against the positions it moves.
+    """
+    if metric.inverse_mass.shape[0] != dim:
+        raise ValueError(
+            f"metric dimension {metric.inverse_mass.shape[0]} does not match target dimension {dim}"
+        )
+
+
 def kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
     """``0.5 * p^T M^{-1} p``; non-negative for valid metrics.
 
@@ -132,6 +152,12 @@ def kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
     momentum = np.asarray(momentum, dtype=float)
     if momentum.shape[-1] != metric.inverse_mass.shape[0]:
         raise ValueError("momentum and metric dimensions disagree")
+    return _kinetic_energy(momentum, metric)
+
+
+def _kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
+    # kinetic_energy without the conversion and the dimension check: the
+    # kernels' energy rule, whose momenta come from a metric checked at build.
     if momentum.ndim == 2:
         if metric.kind == "dense":
             products = _matvec(metric.inverse_mass, momentum)
@@ -150,6 +176,11 @@ def sample_momentum(key: RngKey, metric: Metric) -> np.ndarray:
     """
     dim = metric.inverse_mass.shape[0]
     z = normal_rows(key, dim) if isinstance(key, np.ndarray) else normal_vector(key, dim)
+    return scale_momentum(z, metric)
+
+
+def scale_momentum(z: np.ndarray, metric: Metric) -> np.ndarray:
+    """The momentum ``mass_cholesky @ z`` of standard normals ``z``, one vector or each row."""
     if metric.kind == "dense":
         return _matvec(metric.mass_cholesky, z)
     return metric.mass_cholesky * z
@@ -169,7 +200,8 @@ def momentum_draw(metric: Optional[Metric] = None) -> Callable:
     then the uniform of its second.  No metric means the identity metric,
     whose momentum is the ``normal_vector`` draw bit for bit.  An ``(m, 2)``
     key array gives ``m`` rows; one ``RngKey`` gives its row through the
-    scalar functions, far cheaper than a one-row array draw.
+    scalar functions, far cheaper than a one-row array draw.  A row holds
+    ``draw.floats(dim) = dim + 1`` values.
     """
 
     def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
@@ -181,6 +213,7 @@ def momentum_draw(metric: Optional[Metric] = None) -> Callable:
         key_momentum, key_uniform = split_key(keys, 2)
         return np.append(sample_momentum(key_momentum, kernel_metric), uniform(key_uniform))
 
+    draw.floats = lambda dim: dim + 1
     return draw
 
 
@@ -192,7 +225,7 @@ def total_energy(state: IntegratorState, metric: Metric) -> float:
     acceptance rule treats as a certain rejection.  An ensemble state gives
     the ``(n,)`` energies of its rows under the same rule.
     """
-    energy = -state.logdensity + kinetic_energy(state.momentum, metric)
+    energy = -state.logdensity + _kinetic_energy(state.momentum, metric)
     if isinstance(energy, np.ndarray):
         energy[~np.isfinite(energy)] = math.inf
         return energy

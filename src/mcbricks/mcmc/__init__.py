@@ -4,10 +4,12 @@ Each sampler module exposes ``init(position, target, ...)``, a
 ``build_kernel(...)`` constructor returning a pure transition function
 ``kernel(key, state, target)``, and an ``as_algorithm(target, ...)``
 convenience that packages both behind the library-wide init/step protocol
-through :func:`mcbricks.core.bind`.  The RWM, MALA, HMC and GHMC kernels
-share one draw atom, :func:`mcbricks.integrator.momentum_draw`, carried as
+through :func:`mcbricks.core.bind`.  Every kernel carries a draw atom as
 ``kernel.draw(keys, target)``, which draws the randomness of many steps at
-once (see :mod:`mcbricks.core`).  RWM, MALA and HMC each write their accept
+once (see :mod:`mcbricks.core`): RWM, MALA, HMC and GHMC share
+:func:`mcbricks.integrator.momentum_draw`, and NUTS draws one
+:class:`~mcbricks.mcmc.nuts.NutsDraw` record per step, every number its
+tree could use.  RWM, MALA and HMC each write their accept
 rule once and step a single state or an ensemble with one body, through
 :func:`mcbricks.proposal.settle`.
 

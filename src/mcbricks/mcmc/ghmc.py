@@ -19,8 +19,9 @@ from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, kernel_draws
 from ..integrator import (
     IntegratorState,
     Metric,
+    _kinetic_energy,
+    check_metric,
     identity_metric,
-    kinetic_energy,
     leapfrog,
     momentum_draw,
     total_energy,
@@ -53,12 +54,13 @@ def init(
     very first acceptance decision non-trivial).
     """
     position = np.asarray(position, dtype=float)
-    if momentum is None:
-        momentum = np.zeros_like(position)
+    momentum = np.zeros_like(position) if momentum is None else np.asarray(momentum, dtype=float)
+    if momentum.shape != position.shape:
+        raise ValueError("momentum and position shapes disagree")
     if not abs(slice_u) < 1.0:
         raise ValueError("slice variable must lie in (-1, 1)")
     return GhmcState(
-        *core.init(position, target), np.asarray(momentum, dtype=float), SliceVariable(slice_u)
+        *core.init(position, target), momentum, SliceVariable(slice_u)
     )
 
 
@@ -94,7 +96,7 @@ def build_kernel(
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
         draws = kernel_draws(key, draw, target, ensemble=False)
         momentum = persistence * state.momentum + refresh_scale * draws[:-1]
-        energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
+        energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         end = leapfrog(start, step_size, kernel_metric, target)
         energy_end = total_energy(end, kernel_metric)
@@ -122,4 +124,5 @@ def as_algorithm(
     slice_jitter: float = 0.0,
 ) -> SamplingAlgorithm:
     metric = metric if metric is not None else identity_metric(target.dim)
+    check_metric(metric, target.dim)
     return bind(target, init, build_kernel(step_size, persistence, metric, slice_jitter))

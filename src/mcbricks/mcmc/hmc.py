@@ -19,8 +19,9 @@ from ..core import (
 from ..integrator import (
     IntegratorState,
     Metric,
+    _kinetic_energy,
+    check_metric,
     identity_metric,
-    kinetic_energy,
     momentum_draw,
     total_energy,
     trajectory,
@@ -73,7 +74,7 @@ def build_kernel(
         draws = kernel_draws(key, draw, target)
         momentum = draws[..., :-1]
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
-        energy_start = -state.logdensity + kinetic_energy(momentum, kernel_metric)
+        energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)
         end = trajectory(start, step_size, kernel_metric, target, num_integration_steps)
         proposed = GradientState(end.position, end.logdensity, end.gradient)
         energies = (energy_start, total_energy(end, kernel_metric))
@@ -91,6 +92,7 @@ def as_algorithm(
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
     metric = metric if metric is not None else identity_metric(target.dim)
+    check_metric(metric, target.dim)
     return bind(
         target, init, build_kernel(step_size, num_integration_steps, metric, divergence_threshold)
     )

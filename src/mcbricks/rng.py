@@ -33,11 +33,13 @@ particles would give it.
 
 :func:`fold_in_range` serves the other axis, the steps of one chain: it
 returns the keys ``fold_in(key, i)`` for a range of ``i`` as a key array.
-``core.run_chain`` derives a chain's step keys a block at a time with it,
-and kernels whose draws depend only on the step key (RWM, MALA, HMC, GHMC)
-draw the whole block's randomness from that array through their draw atom.
-The scalar functions are unchanged by this and stay the path for single
-calls, such as NUTS steps and warmup.
+``core.step_inputs`` derives a chain's step keys a block at a time with
+it, for ``core.run_chain`` and for warmup, and every built-in kernel draws
+the whole block's randomness from that array through its draw atom.  NUTS
+does too: every number a tree could use is fixed by the step key, so its
+atom draws them all up front, whatever size the tree grows to.  The scalar
+functions are unchanged by this and stay the path for single calls, such
+as the fixed kernels under one ``RngKey`` and the step-size search.
 """
 
 from __future__ import annotations

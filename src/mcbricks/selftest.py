@@ -3,7 +3,7 @@
 Each check is cheap (the whole suite runs in seconds) and exercises one
 structural guarantee: stream purity, gradient consistency, integrator
 reversibility, schedule bookkeeping, estimator agreement, resampler
-counts, the draw atom the fixed kernels share, and kernel repeatability.
+counts, the draw atoms of the kernels, and kernel repeatability.
 Failures print a reason and flip the exit code to 1; they do not stop
 later checks.
 """
@@ -138,6 +138,16 @@ def _check_kernels() -> None:
     for algorithm in algorithms[:4]:
         assert algorithm.step.draw(key).tobytes() == row, "kernel left the shared draw atom"
     position = np.array([0.25, -0.5])
+    # NUTS: a key's record from a block of keys is its single-key record,
+    # and a step under that record is the step under the key.
+    record = algorithms[4].step.draw(key)
+    block_record = algorithms[4].step.draw(key_rows([fold_in(key, 1), key]))[1]
+    assert [np.asarray(f).tobytes() for f in block_record] == \
+        [np.asarray(f).tobytes() for f in record], "NUTS record differs within a block"
+    state = algorithms[4].init(position)
+    by_key, by_record = algorithms[4].step(key, state), algorithms[4].step(block_record, state)
+    assert by_key[0].position.tobytes() == by_record[0].position.tobytes() and \
+        by_key[1] == by_record[1], "NUTS step under its record differs from the keyed step"
     for algorithm in algorithms:
         state = algorithm.init(position)
         first, _ = algorithm.step(fold_in(key, 3), state)

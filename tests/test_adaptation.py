@@ -28,9 +28,9 @@ from mcbricks.integrator import (
     sample_momentum,
     total_energy,
 )
-from mcbricks.mcmc import hmc
+from mcbricks.mcmc import hmc, nuts
 from mcbricks.rng import make_key, normal_matrix, split_key
-from mcbricks.targets import aniso_gauss, std_normal
+from mcbricks.targets import aniso_gauss, make_builtin, std_normal
 
 # ------------------------------------------------------------ dual averaging
 
@@ -418,3 +418,67 @@ def test_step_search_reaches_a_workable_step_from_anywhere_in_the_double_range(i
     assert _search_with_64_moves(make_key(2), target, state, identity_metric(3), initial) is None
     step = find_reasonable_step_size(make_key(2), target, state, identity_metric(3), initial)
     assert 0.1 < step < 10.0
+
+
+# Pinned before warmup drew its randomness in blocks (NumPy 2.4, x86-64):
+# the step size and inverse mass bytes window adaptation returns.
+_PINNED_WARMUP = {
+    "nuts": (
+        "funnel", "diagonal", "0x1.38b71f7fbc562p-1",
+        ["0x1.da1a9ccce1fb1p+0", "0x1.10936781674fcp+2", "0x1.ad574907ad462p+2"],
+    ),
+    "hmc": (
+        "aniso_gauss", "dense", "0x1.1387e3289441ap-1",
+        ["0x1.04a8ec40b417dp+1", "0x1.28208a0cc54b8p+0", "-0x1.351df9fb91f10p+1",
+         "0x1.28208a0cc54b7p+0", "0x1.2c9c6088879aap+4", "-0x1.a783cbaed8944p+3",
+         "-0x1.351df9fb91f10p+1", "-0x1.a783cbaed8944p+3", "0x1.a9ec532b230c7p+6"],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_WARMUP))
+def test_window_adaptation_returns_the_pinned_settings(family):
+    name, mass, step_size, inverse_mass = _PINNED_WARMUP[family]
+    target = make_builtin(name, 3).target
+    result = window_adaptation(
+        make_key(77), target, np.zeros(3), 150, kernel_family=family, mass=mass,
+        num_integration_steps=5,
+    )
+    assert float(result.step_size).hex() == step_size
+    assert [float(v).hex() for v in result.metric.inverse_mass.ravel()] == inverse_mass
+
+
+@pytest.mark.parametrize("family", ["nuts", "hmc"])
+def test_window_adaptation_draws_each_stage_in_blocks(monkeypatch, family):
+    """Every warmup step moves under a pre-drawn record; no block crosses a stage."""
+    module = nuts if family == "nuts" else hmc
+    build_kernel = module.build_kernel
+    blocks, inputs = [], []
+
+    def spying_build_kernel(*args, **kwargs):
+        kernel = build_kernel(*args, **kwargs)
+        draw = kernel.draw
+
+        def spied_draw(keys, target):
+            blocks.append(keys.shape[0])
+            return draw(keys, target)
+
+        def spied_kernel(key, state, target):
+            inputs.append(type(key))
+            return kernel(key, state, target)
+
+        spied_draw.floats = draw.floats
+        spied_kernel.draw = spied_draw
+        return spied_kernel
+
+    monkeypatch.setattr(module, "build_kernel", spying_build_kernel)
+    num_warmup = 400
+    window_adaptation(make_key(9), std_normal(2).target, np.zeros(2), num_warmup, kernel_family=family)
+    assert set(inputs) == {nuts.NutsDraw if family == "nuts" else np.ndarray}
+    assert len(inputs) == num_warmup
+    assert blocks == [length for _, length in build_schedule(num_warmup).stages]
+
+
+def test_window_adaptation_rejects_a_position_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="target dimension 5"):
+        window_adaptation(make_key(1), std_normal(5).target, np.zeros(1), 150)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line harness."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -560,3 +561,60 @@ def test_diverging_vi_fit_exits_numerically_without_a_summary(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "numerical failure: draws contain NaN or infinite values\n"
     assert not (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run-vi", "--target", "funnel", "--dim", "4", "--optimizer", "sgd",
+     "--learning-rate", "100", "--num-steps", "50", "--seed", "1"],
+    ["run", "--target", "funnel", "--dim", "2", "--seed", "1", "--algorithm", "mala",
+     "--step-size", "1e6", "--num-warmup", "0", "--num-samples", "10", "--num-chains", "2"],
+], ids=["diverged-vi", "degenerate-mala"])
+def test_numerical_failure_while_summarising_leaves_no_output(tmp_path, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out_dir = _run_cli(tmp_path, "failed", args)
+    assert code == 3
+    assert not (out_dir / "samples.csv").exists()
+    assert not out_dir.exists()
+
+
+def test_nuts_run_records_its_tree_counters(tmp_path):
+    args = [
+        "run", "--target", "banana", "--dim", "2", "--algorithm", "nuts", "--seed", "6",
+        "--num-warmup", "100", "--num-samples", "60", "--num-chains", "2", "--max-depth", "5",
+    ]
+    code, out_dir = _run_cli(tmp_path, "nuts", args)
+    assert code == 0
+    counters = _read_masked_summary(out_dir)["nuts"]
+    assert len(counters["tree_depth_counts"]) == 6
+    assert sum(counters["tree_depth_counts"]) == 120
+    assert 1.0 <= counters["mean_leapfrogs_per_step"] <= 2**6 - 1
+    _, again = _run_cli(tmp_path, "again", args)
+    assert _read_masked_summary(again) == _read_masked_summary(out_dir)
+    _, hmc_dir = _run_cli(tmp_path, "hmc", _quick_run_args(algorithm="hmc"))
+    assert "nuts" not in _read_masked_summary(hmc_dir)
+
+
+# Pinned before NUTS and warmup drew their randomness in blocks (NumPy 2.4,
+# x86-64): a change to how a step's numbers are drawn must leave these bytes.
+_PINNED_SAMPLES = {
+    "nuts": (
+        ["run", "--target", "banana", "--dim", "2", "--algorithm", "nuts", "--seed", "31",
+         "--num-warmup", "150", "--num-samples", "200", "--num-chains", "2"],
+        "bfd42a14e2932b3774f0c0830150e323ba475782b71ccf01f3bea003462db679",
+    ),
+    "hmc": (
+        ["run", "--target", "aniso_gauss", "--dim", "3", "--algorithm", "hmc", "--seed", "32",
+         "--num-warmup", "150", "--num-samples", "200", "--num-chains", "2", "--mass", "dense",
+         "--num-integration-steps", "7"],
+        "d3a34c4f13cc03e5096fa2d56d7f49879be8aa08d381aae4d93281555420be7f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SAMPLES))
+def test_adapted_runs_write_the_pinned_samples(tmp_path, name):
+    args, digest = _PINNED_SAMPLES[name]
+    code, out_dir = _run_cli(tmp_path, name, args)
+    assert code == 0
+    assert hashlib.sha256((out_dir / "samples.csv").read_bytes()).hexdigest() == digest

@@ -158,3 +158,47 @@ def test_run_chain_reports_the_global_index_of_a_failing_step(with_draw):
         run_chain(make_key(5), exploding, _State(np.zeros(1)), 600)
     assert excinfo.value.step_index == 300
     assert isinstance(excinfo.value.__cause__, ValueError)
+
+
+def test_run_chain_caps_blocks_of_nuts_records_by_their_size():
+    from mcbricks import core
+    from mcbricks.mcmc import nuts
+    from mcbricks.targets import std_normal
+
+    for dim, max_depth, num_steps in ((1, 10, 300), (50, 10, 300), (5_000, 3, 40)):
+        algorithm = nuts.as_algorithm(std_normal(dim).target, 0.9, max_depth=max_depth)
+        draw = algorithm.step.draw
+        assert draw.floats == dim + 4 * max_depth + (1 + 3 + 7 if max_depth > 3 else 1 + 3)
+        rows_per_draw = []
+
+        def counting_draw(keys):
+            rows_per_draw.append(keys.shape[0])
+            return draw(keys)
+
+        counting_draw.floats = draw.floats
+        algorithm.step.draw = counting_draw
+        run_chain(make_key(3), algorithm.step, algorithm.init(np.zeros(dim)), num_steps)
+        assert sum(rows_per_draw) == num_steps
+        assert max(rows_per_draw) <= core._BLOCK_STEPS
+        assert max(rows_per_draw) * draw.floats <= core._BLOCK_FLOATS
+    assert rows_per_draw[0] == core._BLOCK_FLOATS // draw.floats
+
+
+def test_step_inputs_serve_keys_or_records_for_any_range():
+    from mcbricks.core import step_inputs
+    from mcbricks.rng import RngKey, fold_in_range
+
+    key = make_key(4)
+    keyed = list(step_inputs(key, None, 250, 520, 1))
+    assert [i for i, _ in keyed] == list(range(250, 520))
+    assert all(isinstance(k, RngKey) and k == fold_in(key, i) for i, k in keyed)
+    blocks = []
+
+    def draw(keys):
+        blocks.append(keys.tolist())
+        return list(range(len(keys)))
+
+    served = list(step_inputs(key, draw, 3, 13, 1 << 13))
+    assert blocks == [fold_in_range(key, 3, 7).tolist(), fold_in_range(key, 7, 11).tolist(),
+                      fold_in_range(key, 11, 13).tolist()]
+    assert served == list(zip(range(3, 13), [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]))

@@ -494,3 +494,16 @@ def test_nuts_scalar_logaddexp_matches_numpy_bitwise(pair):
     with np.errstate(all="ignore"):
         expected = np.logaddexp(x, y)
     assert np.float64(nuts._logaddexp(x, y)).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("module, args", [(hmc, (0.2, 3)), (ghmc, (0.2,)), (nuts, (0.2,))])
+def test_a_metric_of_another_dimension_is_rejected_when_the_algorithm_is_built(module, args):
+    """A dim-1 metric would broadcast silently against dim-5 positions."""
+    with pytest.raises(ValueError, match="metric dimension 1 does not match target dimension 5"):
+        module.as_algorithm(std_normal(5).target, *args, metric=identity_metric(1))
+    module.as_algorithm(std_normal(5).target, *args, metric=identity_metric(5))
+
+
+def test_ghmc_init_rejects_a_momentum_of_another_shape():
+    with pytest.raises(ValueError, match="momentum"):
+        ghmc.init(np.zeros(3), std_normal(3).target, momentum=np.zeros(1))
