@@ -18,7 +18,8 @@ MALA, HMC and NUTS share :class:`mcbricks.core.GradientState` and its
 their own states.  RWM, MALA, HMC and GHMC report one record,
 :class:`mcbricks.core.AcceptanceInfo`; NUTS extends it.  Endpoints
 are scored by :func:`mcbricks.integrator.total_energy`, non-finite as +inf,
-row by row for an ensemble.
+row by row for an ensemble; NUTS writes its leapfrog and that rule out in
+its tree loop, bit for bit.
 """
 
 from . import ghmc, hmc, mala, nuts, rwm

@@ -12,6 +12,24 @@ The U-turn test compares the displacement between the trajectory ends with
 the velocities ``M^{-1} p`` there, which reduces to the classic momentum
 form for an identity metric and stays correct under preconditioning.
 
+A sub-tree is built without recursion, as NumPyro and BlackJAX build it
+(Phan, Pradhan & Jankowiak 2019, arXiv:1912.11554): one loop over its
+``2**depth`` leaves, with a stack of the completed first halves that wait
+for their second.  After leaf ``k`` the loop merges once per trailing one
+bit of ``k``; the merge that completes a node of height ``h`` reads that
+node's merge uniform at heap index ``2**(depth - h) - 1 + (k >> h)``.  The
+first divergence or U-turn stops the loop, and the stack folds into the
+sub-tree's statistics.  The doubling loop of a step joins each sub-tree to
+the trajectory the same way.
+
+A leaf is one leapfrog step, written out in the loop: a state's half kick
+``half * gradient`` also starts the next leaf, and its velocity ``M^{-1} p``
+is computed once, for its kinetic energy and for every U-turn test it
+takes part in.  The numbers are bit for bit those of
+:func:`~mcbricks.integrator.leapfrog` followed by
+:func:`~mcbricks.integrator.total_energy`, with one ``target.logdensity``
+and then one ``target.gradient`` call per leaf.
+
 Trees vary in size, but every number a tree could use is fixed by the step
 key before the tree is built.  The kernel's draw atom (``kernel.draw``)
 turns a block of step keys into one :class:`NutsDraw` record per key with
@@ -22,21 +40,18 @@ the kernel given a record moves exactly as it would under the record's key.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core import GradientState, SamplingAlgorithm, Target, bind, init
 from ..integrator import (
-    IntegratorState,
     Metric,
     _kinetic_energy,
     check_metric,
     identity_metric,
-    leapfrog,
     scale_momentum,
-    total_energy,
-    velocity,
+    velocity as velocity_of,
 )
 from ..rng import RngKey, key_rows, normal_rows, split_key_rows, uniform_rows
 from .hmc import DEFAULT_DIVERGENCE_THRESHOLD
@@ -77,45 +92,9 @@ class NutsDraw(NamedTuple):
     heaps: list
 
 
-class _Tree(NamedTuple):
-    # Edge states carry global time orientation: `left` is the earliest.
-    left: IntegratorState
-    right: IntegratorState
-    proposal: IntegratorState
-    proposal_energy: float
-    log_weight: float
-    alpha_sum: float
-    num_leapfrogs: int
-    turning: bool
-    diverging: bool
-
-
-def _is_turning(left: IntegratorState, right: IntegratorState, metric: Metric) -> bool:
-    span = right.position - left.position
-    return (
-        float(span @ velocity(left.momentum, metric)) < 0.0
-        or float(span @ velocity(right.momentum, metric)) < 0.0
-    )
-
-
-def _leaf(
-    from_state: IntegratorState,
-    direction: int,
-    step_size: float,
-    metric: Metric,
-    target: Target,
-    energy_start: float,
-    divergence_threshold: float,
-) -> _Tree:
-    state = leapfrog(from_state, direction * step_size, metric, target)
-    delta = total_energy(state, metric) - energy_start
-    diverging = not math.isfinite(delta) or delta > divergence_threshold
-    log_weight = -delta if not diverging else -math.inf
-    alpha = math.exp(min(0.0, -delta)) if not math.isnan(delta) else 0.0
-    return _Tree(state, state, state, energy_start + delta, log_weight, alpha, 1, False, diverging)
-
-
 _LOG2 = math.log(2.0)
+# ``ndarray.sum`` without its Python wrapper: the same reduction, bit for bit.
+_sum = np.add.reduce
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -135,70 +114,28 @@ def _logaddexp(x: float, y: float) -> float:
     return delta
 
 
-def _merge_proposal(
-    u: float, first: _Tree, second: _Tree
-) -> tuple[IntegratorState, float, float]:
-    log_weight = _logaddexp(first.log_weight, second.log_weight)
-    if log_weight == -math.inf:
-        # Both halves carry zero weight; keep the earlier proposal.
-        return first.proposal, first.proposal_energy, log_weight
-    if math.log(max(u, 1e-320)) < second.log_weight - log_weight:
-        return second.proposal, second.proposal_energy, log_weight
-    return first.proposal, first.proposal_energy, log_weight
+def _merge(u: float, first: float, second: float) -> tuple[float, bool]:
+    """The joined log weight of two halves, and whether the second's proposal wins.
 
-
-def _combine(u: float, first: _Tree, second: _Tree, direction: int, metric: Metric) -> _Tree:
-    """Join ``second``, grown from ``first``'s edge along ``direction``.
-
-    A turning or diverging ``second`` contributes only its integrator
-    statistics and its flags; otherwise the proposals are merged, under the
-    merge uniform ``u``, and the joined span is checked for a U-turn.
+    ``first`` and ``second`` are the halves' log weights.  Progressive
+    multinomial sampling under the merge uniform ``u``: the second half's
+    proposal replaces the first's with probability
+    ``w_second / (w_first + w_second)``.  Two halves of zero weight give a
+    NaN comparison, so the earlier proposal stays.
     """
-    left = first.left if direction == 1 else second.left
-    right = second.right if direction == 1 else first.right
-    alpha_sum = first.alpha_sum + second.alpha_sum
-    num_leapfrogs = first.num_leapfrogs + second.num_leapfrogs
-    if second.turning or second.diverging:
-        return _Tree(
-            left, right, first.proposal, first.proposal_energy, first.log_weight,
-            alpha_sum, num_leapfrogs, second.turning, second.diverging,
-        )
-    proposal, proposal_energy, log_weight = _merge_proposal(u, first, second)
-    return _Tree(
-        left, right, proposal, proposal_energy, log_weight,
-        alpha_sum, num_leapfrogs, _is_turning(left, right, metric), False,
-    )
+    log_weight = _logaddexp(first, second)
+    return log_weight, math.log(max(u, 1e-320)) < second - log_weight
 
 
-def _merge_heaps(keys: np.ndarray, depth: int) -> np.ndarray:
-    """The merge uniforms of the depth-``depth`` subtrees built from ``keys``, one heap per row.
-
-    A subtree of depth at least 1 splits its key into (first half, second
-    half, merge) keys.  Heap entry ``i`` is node ``i``'s merge uniform, and
-    its halves are nodes ``2 * i + 1`` and ``2 * i + 2``: ``2**depth - 1``
-    entries, derived one tree level per pair of array calls.
-    """
-    count = keys.shape[0]
-    levels = [np.empty((count, 0))]
-    for _ in range(depth):
-        children = split_key_rows(keys, 3)
-        levels.append(uniform_rows(children[:, 2]).reshape(count, -1))
-        keys = children[:, :2].reshape(-1, 2)
-    return np.concatenate(levels, axis=1)
+def _turning(span: np.ndarray, velocity_a: np.ndarray, velocity_b: np.ndarray) -> bool:
+    # The U-turn test of a span, from its earliest to its latest state, given
+    # the velocities at its two ends.
+    return float(span @ velocity_a) < 0.0 or float(span @ velocity_b) < 0.0
 
 
-def _heap(record: NutsDraw, depth: int) -> list:
-    # The merge heap of the step's depth-``depth`` subtree.
-    if depth <= _HEAP_DEPTH:
-        offset = 2**depth - depth - 1
-        return record.heaps[offset:offset + 2**depth - 1]
-    return _merge_heaps(record.build_keys[depth][None], depth)[0].tolist()
-
-
-def _build_subtree(
+def _subtree(
     heap: list,
-    node: int,
-    from_state: IntegratorState,
+    edge: tuple,
     direction: int,
     depth: int,
     step_size: float,
@@ -206,24 +143,105 @@ def _build_subtree(
     target: Target,
     energy_start: float,
     divergence_threshold: float,
-) -> _Tree:
-    """Node ``node`` of a subtree whose merge uniforms are ``heap`` (see :func:`_merge_heaps`)."""
-    if depth == 0:
-        return _leaf(
-            from_state, direction, step_size, metric, target, energy_start, divergence_threshold
-        )
-    first = _build_subtree(
-        heap, 2 * node + 1, from_state, direction, depth - 1,
-        step_size, metric, target, energy_start, divergence_threshold,
-    )
-    if first.turning or first.diverging:
-        return first
-    grow_from = first.right if direction == 1 else first.left
-    second = _build_subtree(
-        heap, 2 * node + 2, grow_from, direction, depth - 1,
-        step_size, metric, target, energy_start, divergence_threshold,
-    )
-    return _combine(heap[node], first, second, direction, metric)
+) -> tuple:
+    """Grow the depth-``depth`` sub-tree from ``edge`` along ``direction``, one leaf per iteration.
+
+    An edge is ``(position, momentum, kick, velocity)``, where ``kick`` is
+    the half kick ``0.5 * direction * step_size * gradient`` that its next
+    leapfrog starts with, and a proposal is ``(position, logdensity,
+    gradient)``.  Returns ``(outer edge, proposal, proposal energy, log
+    weight, alpha sum, leaves, diverging)``.  A sub-tree stopped by a U-turn
+    or a divergence inside it returns ``None`` for its edge and proposal:
+    only its alpha sum, its leaf count and ``diverging`` count.
+
+    ``heap`` holds the merge uniforms (:func:`_merge_heaps`).  The alpha sum
+    is added in the tree's order: ``first + second`` at each merge, and on a
+    stop the stack's first halves from the innermost out.
+    """
+    position, momentum, kick, _ = edge
+    eps = direction * step_size
+    half = 0.5 * eps
+    inverse_mass = metric.inverse_mass
+    dense = metric.kind == "dense"
+    # Completed first halves: (inner position, inner velocity, proposal,
+    # proposal energy, log weight, alpha sum); "inner" is the first leaf built.
+    stack = []
+    for k in range(1 << depth):
+        p_half = momentum + kick
+        position = position + eps * (inverse_mass @ p_half if dense else inverse_mass * p_half)
+        logdensity = float(target.logdensity(position))
+        gradient = np.asarray(target.gradient(position), dtype=float)
+        kick = half * gradient
+        momentum = p_half + kick
+        # ``integrator._kinetic_energy``, bit for bit, keeping its velocity.
+        if dense:
+            velocity = inverse_mass @ momentum
+            energy = -logdensity + 0.5 * float(momentum @ velocity)
+        else:
+            velocity = inverse_mass * momentum
+            energy = -logdensity + 0.5 * float(_sum(velocity * momentum))
+        delta = (energy if math.isfinite(energy) else math.inf) - energy_start
+        alpha = math.exp(min(0.0, -delta)) if not math.isnan(delta) else 0.0
+        diverging = not math.isfinite(delta) or delta > divergence_threshold
+        turning = False
+        if not diverging:
+            proposal, proposal_energy = (position, logdensity, gradient), energy_start + delta
+            log_weight = -delta
+            inner_position, inner_velocity = position, velocity
+            height = 0
+            while k >> height & 1 and not turning:
+                inner_position, inner_velocity, first, first_energy, first_weight, first_alpha = (
+                    stack.pop()
+                )
+                height += 1
+                alpha = first_alpha + alpha
+                u = heap[(1 << (depth - height)) - 1 + (k >> height)]
+                log_weight, second_wins = _merge(u, first_weight, log_weight)
+                if not second_wins:
+                    proposal, proposal_energy = first, first_energy
+                span = position - inner_position if direction == 1 else inner_position - position
+                turning = _turning(span, inner_velocity, velocity)
+        if diverging or turning:
+            for entry in reversed(stack):
+                alpha = entry[5] + alpha
+            return None, None, None, None, alpha, k + 1, diverging
+        stack.append((inner_position, inner_velocity, proposal, proposal_energy, log_weight, alpha))
+    _, _, proposal, proposal_energy, log_weight, alpha = stack[0]
+    edge = (position, momentum, kick, velocity)
+    return edge, proposal, proposal_energy, log_weight, alpha, 1 << depth, False
+
+
+def _merge_heaps(keys: np.ndarray, depths: Sequence[int]) -> np.ndarray:
+    """The merge uniforms of subtrees built from ``keys``, one row of heaps per row of keys.
+
+    ``keys[:, j]`` is the build key of a subtree of depth ``depths[j]``, in
+    ascending order of depth.  A subtree of depth at least 1 splits its key
+    into (first half, second half, merge) keys.  Heap entry ``i`` is node
+    ``i``'s merge uniform, and its halves are nodes ``2 * i + 1`` and
+    ``2 * i + 2``: ``2**depth - 1`` entries per subtree, the subtrees' heaps
+    one after the other.  All the subtrees descend together, one tree level
+    per pair of array calls.
+    """
+    count = keys.shape[0]
+    nodes, levels = keys[:, :, None], []
+    for level in range(max(depths, default=0)):
+        children = split_key_rows(nodes.reshape(-1, 2), 3)
+        levels.append(uniform_rows(children[:, 2]).reshape(count, nodes.shape[1], -1))
+        # The subtrees of depth ``level + 1`` are complete; the deeper ones,
+        # last in ``keys``, go on.
+        nodes = children[:, :2].reshape(count, nodes.shape[1], -1, 2)
+        nodes = nodes[:, depths.count(level + 1):]
+    # Subtree j is column j of every level it reaches, counted from the end.
+    heaps = [levels[level][:, j - len(depths)] for j, d in enumerate(depths) for level in range(d)]
+    return np.concatenate([np.empty((count, 0))] + heaps, axis=1)
+
+
+def _heap(record: NutsDraw, depth: int) -> list:
+    # The merge heap of the step's depth-``depth`` subtree.
+    if depth <= _HEAP_DEPTH:
+        offset = 2**depth - depth - 1
+        return record.heaps[offset:offset + 2**depth - 1]
+    return _merge_heaps(record.build_keys[None, depth:depth + 1], [depth])[0].tolist()
 
 
 def _draw_atom(max_depth: int) -> Callable:
@@ -246,9 +264,7 @@ def _draw_atom(max_depth: int) -> Callable:
         directions = uniform_rows(parts[:, :, 0].reshape(-1, 2)).reshape(count, max_depth)
         merges = uniform_rows(parts[:, :, 2].reshape(-1, 2)).reshape(count, max_depth)
         build_keys = parts[:, :, 1]
-        heaps = np.concatenate(
-            [np.empty((count, 0))] + [_merge_heaps(build_keys[:, d], d) for d in heap_depths], axis=1
-        )
+        heaps = _merge_heaps(build_keys[:, 1:1 + len(heap_depths)], heap_depths)
         return list(map(NutsDraw._make, zip(
             normals, directions.tolist(), merges.tolist(), build_keys, heaps.tolist()
         )))
@@ -299,36 +315,39 @@ def build_kernel(
             )
         momentum = scale_momentum(record.normals, kernel_metric)
         energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)
-        start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
-        tree = _Tree(start, start, start, energy_start, 0.0, 1.0, 0, False, False)
-        initial_proposal = tree.proposal
+        velocity = velocity_of(momentum, kernel_metric)
+        # The trajectory's two ends, each with the half kick that grows it outwards.
+        left = (state.position, momentum, (0.5 * -step_size) * state.gradient, velocity)
+        right = (state.position, momentum, (0.5 * step_size) * state.gradient, velocity)
+        start = proposal = (state.position, state.logdensity, state.gradient)
+        proposal_energy, log_weight, alpha_sum, leaves = energy_start, 0.0, 1.0, 0
+        diverged = False
         depth = 0
         while depth < max_depth:
             direction = 1 if record.directions[depth] < 0.5 else -1
-            grow_from = tree.right if direction == 1 else tree.left
-            subtree = _build_subtree(
-                _heap(record, depth), 0, grow_from, direction, depth,
+            edge, sub_proposal, sub_energy, sub_weight, sub_alpha, sub_leaves, diverged = _subtree(
+                _heap(record, depth), right if direction == 1 else left, direction, depth,
                 step_size, kernel_metric, target, energy_start, divergence_threshold,
             )
-            tree = _combine(record.merges[depth], tree, subtree, direction, kernel_metric)
-            if subtree.turning or subtree.diverging:
+            alpha_sum = alpha_sum + sub_alpha
+            leaves += sub_leaves
+            if edge is None:
                 break
+            log_weight, second_wins = _merge(record.merges[depth], log_weight, sub_weight)
+            if second_wins:
+                proposal, proposal_energy = sub_proposal, sub_energy
+            if direction == 1:
+                right = edge
+            else:
+                left = edge
             depth += 1
-            if tree.turning:
+            if _turning(right[0] - left[0], left[3], right[3]):
                 break
-        p_accept = tree.alpha_sum / (tree.num_leapfrogs + 1)
-        diverged = tree.diverging
+        p_accept = alpha_sum / (leaves + 1)
         if diverged:
-            chosen, accepted = state, False
-            energy = energy_start
-        else:
-            accepted = tree.proposal is not initial_proposal
-            chosen = GradientState(
-                tree.proposal.position, tree.proposal.logdensity, tree.proposal.gradient
-            )
-            energy = tree.proposal_energy
-        info = NutsInfo(p_accept, accepted, diverged, energy, tree.num_leapfrogs, depth)
-        return chosen, info
+            return state, NutsInfo(p_accept, False, True, energy_start, leaves, depth)
+        info = NutsInfo(p_accept, proposal is not start, False, proposal_energy, leaves, depth)
+        return GradientState(*proposal), info
 
     kernel.draw = draw
     return kernel

@@ -1,29 +1,103 @@
 """NUTS under pre-drawn records: every step keeps the bits its key gives.
 
 The kernel's draw atom fixes every number a tree could use before the tree
-is built.  These tests compare a step under a record drawn in a block of
-keys with a frozen reference that draws each number from its key as the
-tree asks for it (``split_key`` and ``uniform`` node by node).
+is built, and the kernel builds its trees leaf by leaf with a stack.  These
+tests compare a step under a record drawn in a block of keys with a frozen
+reference: the recursive tree builder, written on ``integrator.leapfrog``
+and ``total_energy``, that draws each number from its key as the tree asks
+for it (``split_key`` and ``uniform`` node by node).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mcbricks.core import run_chain
+from mcbricks.core import GradientState, Target, run_chain
 from mcbricks.integrator import (
     IntegratorState,
     dense_metric,
     diagonal_metric,
     identity_metric,
     kinetic_energy,
+    leapfrog,
     sample_momentum,
+    total_energy,
+    velocity,
 )
 from mcbricks.mcmc import nuts
 from mcbricks.rng import RngKey, fold_in_range, key_rows, make_key, normal_vector, split_key, uniform
 from mcbricks.targets import make_builtin
+
+
+class _Tree(NamedTuple):
+    # Edge states carry global time orientation: `left` is the earliest.
+    left: IntegratorState
+    right: IntegratorState
+    proposal: IntegratorState
+    proposal_energy: float
+    log_weight: float
+    alpha_sum: float
+    num_leapfrogs: int
+    turning: bool
+    diverging: bool
+
+
+def _is_turning(left, right, metric):
+    span = right.position - left.position
+    return (
+        float(span @ velocity(left.momentum, metric)) < 0.0
+        or float(span @ velocity(right.momentum, metric)) < 0.0
+    )
+
+
+def _leaf(from_state, direction, step_size, metric, target, energy_start, threshold):
+    state = leapfrog(from_state, direction * step_size, metric, target)
+    delta = total_energy(state, metric) - energy_start
+    diverging = not math.isfinite(delta) or delta > threshold
+    log_weight = -delta if not diverging else -math.inf
+    alpha = math.exp(min(0.0, -delta)) if not math.isnan(delta) else 0.0
+    return _Tree(state, state, state, energy_start + delta, log_weight, alpha, 1, False, diverging)
+
+
+def _logaddexp(x, y):
+    if x == y:
+        return x + math.log(2.0)
+    delta = x - y
+    if delta > 0.0:
+        return x + math.log1p(math.exp(-delta))
+    if delta <= 0.0:
+        return y + math.log1p(math.exp(delta))
+    return delta
+
+
+def _merge_proposal(u, first, second):
+    log_weight = _logaddexp(first.log_weight, second.log_weight)
+    if log_weight == -math.inf:
+        return first.proposal, first.proposal_energy, log_weight
+    if math.log(max(u, 1e-320)) < second.log_weight - log_weight:
+        return second.proposal, second.proposal_energy, log_weight
+    return first.proposal, first.proposal_energy, log_weight
+
+
+def _combine(u, first, second, direction, metric):
+    # Join ``second``, grown from ``first``'s edge along ``direction``.
+    left = first.left if direction == 1 else second.left
+    right = second.right if direction == 1 else first.right
+    alpha_sum = first.alpha_sum + second.alpha_sum
+    num_leapfrogs = first.num_leapfrogs + second.num_leapfrogs
+    if second.turning or second.diverging:
+        return _Tree(
+            left, right, first.proposal, first.proposal_energy, first.log_weight,
+            alpha_sum, num_leapfrogs, second.turning, second.diverging,
+        )
+    proposal, proposal_energy, log_weight = _merge_proposal(u, first, second)
+    return _Tree(
+        left, right, proposal, proposal_energy, log_weight,
+        alpha_sum, num_leapfrogs, _is_turning(left, right, metric), False,
+    )
 
 
 def _keyed_step(key, state, target, step_size, metric, max_depth, threshold):
@@ -31,25 +105,25 @@ def _keyed_step(key, state, target, step_size, metric, max_depth, threshold):
 
     def build(node_key, from_state, direction, depth):
         if depth == 0:
-            return nuts._leaf(from_state, direction, step_size, metric, target, energy_start, threshold)
+            return _leaf(from_state, direction, step_size, metric, target, energy_start, threshold)
         key_first, key_second, key_select = split_key(node_key, 3)
         first = build(key_first, from_state, direction, depth - 1)
         if first.turning or first.diverging:
             return first
         second = build(key_second, first.right if direction == 1 else first.left, direction, depth - 1)
-        return nuts._combine(uniform(key_select), first, second, direction, metric)
+        return _combine(uniform(key_select), first, second, direction, metric)
 
     keys = split_key(key, 1 + max_depth)
     momentum = sample_momentum(keys[0], metric)
     energy_start = -state.logdensity + kinetic_energy(momentum, metric)
     start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
-    tree = nuts._Tree(start, start, start, energy_start, 0.0, 1.0, 0, False, False)
+    tree = _Tree(start, start, start, energy_start, 0.0, 1.0, 0, False, False)
     depth = 0
     while depth < max_depth:
         key_direction, key_build, key_select = split_key(keys[1 + depth], 3)
         direction = 1 if uniform(key_direction) < 0.5 else -1
         subtree = build(key_build, tree.right if direction == 1 else tree.left, direction, depth)
-        tree = nuts._combine(uniform(key_select), tree, subtree, direction, metric)
+        tree = _combine(uniform(key_select), tree, subtree, direction, metric)
         if subtree.turning or subtree.diverging:
             break
         depth += 1
@@ -60,7 +134,7 @@ def _keyed_step(key, state, target, step_size, metric, max_depth, threshold):
         chosen, accepted, energy = state, False, energy_start
     else:
         accepted = tree.proposal is not start
-        chosen = nuts.GradientState(tree.proposal.position, tree.proposal.logdensity, tree.proposal.gradient)
+        chosen = GradientState(tree.proposal.position, tree.proposal.logdensity, tree.proposal.gradient)
         energy = tree.proposal_energy
     info = nuts.NutsInfo(p_accept, accepted, tree.diverging, energy, tree.num_leapfrogs, depth)
     return chosen, info
@@ -88,6 +162,19 @@ def _metric(kind, dim, seed):
     return dense_metric(factor @ factor.T + 0.5 * np.eye(dim))
 
 
+# Long trees whose subtrees turn deep inside, so that several first halves
+# wait on the builder's stack: their alpha sums must fold in from the
+# innermost out, as the recursion adds them, or ``p_accept`` changes bits.
+@example(name="aniso_gauss", dim=4, kind="identity", max_depth=10, step_size=0.05,
+         threshold=1000.0, seed=34, block=2)
+@example(name="aniso_gauss", dim=4, kind="dense", max_depth=10, step_size=0.05,
+         threshold=1000.0, seed=17, block=3)
+@example(name="funnel", dim=4, kind="dense", max_depth=10, step_size=0.05,
+         threshold=1000.0, seed=30, block=2)
+# A proposal's energy is ``energy_start + delta``, which here differs in its
+# last bits from the leaf's total energy.
+@example(name="funnel", dim=2, kind="diagonal", max_depth=4, step_size=1.2,
+         threshold=1000.0, seed=0, block=2)
 @settings(max_examples=120, deadline=None)
 @given(
     name=st.sampled_from(["std_normal", "aniso_gauss", "banana", "funnel"]),
@@ -95,13 +182,16 @@ def _metric(kind, dim, seed):
     kind=st.sampled_from(["identity", "diagonal", "dense"]),
     max_depth=st.sampled_from([0, 1, 2, 3, 4, 7, 10]),
     step_size=st.sampled_from([0.05, 0.3, 1.2, 8.0, 60.0]),
+    threshold=st.sampled_from([0.1, 1.0, 1000.0]),
     seed=st.integers(0, 2**40),
     block=st.integers(2, 5),
 )
-def test_step_under_a_block_record_is_the_keyed_step(name, dim, kind, max_depth, step_size, seed, block):
+def test_step_under_a_block_record_is_the_keyed_step(
+    name, dim, kind, max_depth, step_size, threshold, seed, block
+):
     target = make_builtin(name, dim).target
     metric = _metric(kind, dim, seed)
-    kernel = nuts.build_kernel(step_size, metric, max_depth)
+    kernel = nuts.build_kernel(step_size, metric, max_depth, threshold)
     state = nuts.init(normal_vector(make_key(seed + 1), dim), target)
     keys = fold_in_range(make_key(seed), 0, block)
     records = kernel.draw(keys, target)
@@ -109,9 +199,44 @@ def test_step_under_a_block_record_is_the_keyed_step(name, dim, kind, max_depth,
     with np.errstate(over="ignore", invalid="ignore"):
         for row, record in zip(keys.tolist(), records):
             key = RngKey._make(row)
-            expected = _bits(_keyed_step(key, state, target, step_size, metric, max_depth, 1000.0))
+            expected = _bits(_keyed_step(key, state, target, step_size, metric, max_depth, threshold))
             assert _bits(kernel(record, state, target)) == expected
             assert _bits(kernel(key, state, target)) == expected
+
+
+def _counting(target, calls):
+    # ``target`` with each call logged as (callable name, position bytes).
+    def logdensity(x):
+        calls.append(("logdensity", x.tobytes()))
+        return target.logdensity(x)
+
+    def gradient(x):
+        calls.append(("gradient", x.tobytes()))
+        return target.gradient(x)
+
+    return Target(target.dim, logdensity, gradient)
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+def test_a_step_evaluates_the_density_then_the_gradient_once_per_leaf(kind):
+    calls = []
+    target = _counting(make_builtin("funnel", 3).target, calls)
+    metric = _metric(kind, 3, 4)
+    state = nuts.init(np.full(3, 0.5), target)
+    divergent = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_size in (0.1, 0.5, 3.0):
+            kernel = nuts.build_kernel(step_size, metric, max_depth=6, divergence_threshold=1.0)
+            for record in kernel.draw(fold_in_range(make_key(11), 0, 20), target):
+                calls.clear()
+                _, info = kernel(record, state, target)
+                leaves = info.num_integration_steps
+                assert [name for name, _ in calls] == ["logdensity", "gradient"] * leaves
+                assert [calls[i][1] for i in range(0, 2 * leaves, 2)] == [
+                    calls[i][1] for i in range(1, 2 * leaves, 2)
+                ]
+                divergent.append(info.is_divergent)
+    assert any(divergent) and not all(divergent)
 
 
 @pytest.mark.parametrize("max_depth", [0, 1, 3, 4, 10])
