@@ -1,12 +1,19 @@
 """No-U-turn sampler: dynamic trajectory length by iterative doubling.
 
 Each step samples a momentum, then repeatedly doubles the trajectory in a
-random time direction.  The returned position is chosen by progressive
-multinomial sampling among all trajectory states, weighted by
-``exp(-(H(state) - H(start)))``, so longer trajectories are exploited
-without an explicit accept/reject.  Doubling stops when either end of a
-newly built sub-tree satisfies the U-turn criterion, when the energy error
-exceeds the divergence threshold, or at ``max_depth``.
+random time direction.  Every state is weighted by
+``exp(-(H(state) - H(start)))``, and the returned position is chosen by
+progressive sampling, as BlackJAX chooses it (Betancourt 2017,
+arXiv:1701.02434, Appendix A), so longer trajectories are exploited without
+an explicit accept/reject.  Inside a sub-tree the sampling is uniform
+(multinomial, :func:`_merge`): each half's proposal wins in proportion to
+its weight.  A finished sub-tree joins the trajectory biased towards it
+(:func:`_join`): its proposal wins with probability
+``min(1, w_subtree / w_trajectory)``, which moves the proposal further
+from the start more often while keeping the target invariant.  Doubling
+stops when either end of a newly built sub-tree satisfies the U-turn
+criterion, when the energy error exceeds the divergence threshold, or at
+``max_depth``.
 
 The U-turn test compares the displacement between the trajectory ends with
 the velocities ``M^{-1} p`` there, which reduces to the classic momentum
@@ -20,7 +27,7 @@ bit of ``k``; the merge that completes a node of height ``h`` reads that
 node's merge uniform at heap index ``2**(depth - h) - 1 + (k >> h)``.  The
 first divergence or U-turn stops the loop, and the stack folds into the
 sub-tree's statistics.  The doubling loop of a step joins each sub-tree to
-the trajectory the same way.
+the trajectory with the merge uniform of its doubling.
 
 A leaf is one leapfrog step, written out in the loop: a state's half kick
 ``half * gradient`` also starts the next leaf, and its velocity ``M^{-1} p``
@@ -115,16 +122,31 @@ def _logaddexp(x: float, y: float) -> float:
 
 
 def _merge(u: float, first: float, second: float) -> tuple[float, bool]:
-    """The joined log weight of two halves, and whether the second's proposal wins.
+    """The joined log weight of a sub-tree's two halves, and whether the second's proposal wins.
 
-    ``first`` and ``second`` are the halves' log weights.  Progressive
-    multinomial sampling under the merge uniform ``u``: the second half's
+    ``first`` and ``second`` are the halves' log weights.  Uniform
+    progressive sampling under the merge uniform ``u``: the second half's
     proposal replaces the first's with probability
-    ``w_second / (w_first + w_second)``.  Two halves of zero weight give a
-    NaN comparison, so the earlier proposal stays.
+    ``w_second / (w_first + w_second)``.  Only merges inside a sub-tree use
+    this rule; a finished sub-tree joins the trajectory by :func:`_join`.
+    Two halves of zero weight give a NaN comparison, so the earlier
+    proposal stays.
     """
     log_weight = _logaddexp(first, second)
     return log_weight, math.log(max(u, 1e-320)) < second - log_weight
+
+
+def _join(u: float, trajectory: float, subtree: float) -> tuple[float, bool]:
+    """The joined log weight of the trajectory and a new sub-tree, and whether the sub-tree wins.
+
+    ``trajectory`` and ``subtree`` are their log weights.  Biased
+    progressive sampling under the merge uniform ``u`` (Betancourt 2017,
+    arXiv:1701.02434, Appendix A): the sub-tree's proposal replaces the
+    trajectory's with probability ``min(1, w_subtree / w_trajectory)``, so
+    a sub-tree at least as heavy as the trajectory always wins.  Two zero
+    weights give a NaN comparison, so the earlier proposal stays.
+    """
+    return _logaddexp(trajectory, subtree), math.log(max(u, 1e-320)) < subtree - trajectory
 
 
 def _turning(span: np.ndarray, velocity_a: np.ndarray, velocity_b: np.ndarray) -> bool:
@@ -281,6 +303,13 @@ def build_kernel(
 ) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, NutsInfo]]:
     """Build the NUTS transition kernel.
 
+    Each doubling builds a sub-tree whose own proposal is sampled uniformly
+    (:func:`_merge`), then joins it to the trajectory by biased progressive
+    sampling (:func:`_join`) under the doubling's merge uniform: the
+    sub-tree's proposal wins with probability
+    ``min(1, w_subtree / w_trajectory)``, the trajectory's weight taken
+    before the join.
+
     ``info.p_accept`` averages ``min(1, exp(-(H - H_start)))`` over the
     start and every state the integrator produced (including states of a
     sub-tree whose construction was aborted), which is the statistic dual
@@ -333,8 +362,8 @@ def build_kernel(
             leaves += sub_leaves
             if edge is None:
                 break
-            log_weight, second_wins = _merge(record.merges[depth], log_weight, sub_weight)
-            if second_wins:
+            log_weight, new_wins = _join(record.merges[depth], log_weight, sub_weight)
+            if new_wins:
                 proposal, proposal_energy = sub_proposal, sub_energy
             if direction == 1:
                 right = edge

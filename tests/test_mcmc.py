@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mcbricks.core import Target, run_chain
 from mcbricks.integrator import (
     IntegratorState,
+    dense_metric,
+    diagonal_metric,
     identity_metric,
     kinetic_energy,
     sample_momentum,
@@ -16,7 +18,7 @@ from mcbricks.integrator import (
 )
 from mcbricks.mcmc import ghmc, hmc, mala, nuts, rwm
 from mcbricks.rng import make_key, normal_vector, split_key, uniform
-from mcbricks.targets import std_normal
+from mcbricks.targets import aniso_gauss, std_normal
 
 _FLAT_2D = Target(2, lambda x: 0.0, lambda x: np.zeros(2))
 
@@ -417,6 +419,95 @@ def test_nuts_standard_normal_moments():
     assert abs(positions.mean()) < 0.05
     assert abs(positions.var() - 1.0) < 0.1
     assert not any(info.is_divergent for info in infos)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_nuts_is_exact_under_a_preconditioning_metric(kind):
+    """NUTS keeps aniso_gauss (variances 1 to 100) invariant under a non-identity metric.
+
+    The diagonal metric is the true variances; the dense one adds a 0.5
+    correlation between every pair of coordinates.  Over 3000 steps each
+    coordinate's mean is within 0.1 standard deviations of 0 and its
+    variance within 12% of the analytic one.
+    """
+    built = aniso_gauss(5)
+    target = built.target
+    mean, variances = built.analytic_moments
+    scales = np.sqrt(variances)
+    if kind == "diagonal":
+        metric = diagonal_metric(variances)
+    else:
+        correlation = np.full((5, 5), 0.5) + 0.5 * np.eye(5)
+        metric = dense_metric(scales[:, None] * correlation * scales[None, :])
+    kernel = nuts.build_kernel(0.8, metric)
+    state = nuts.init(np.zeros(5), target)
+    _, infos, positions = run_chain(
+        make_key(23), lambda k, s: kernel(k, s, target), state, 3000
+    )
+    assert np.all(np.abs(positions.mean(axis=0) - mean) < 0.1 * scales)
+    assert np.all(np.abs(positions.var(axis=0) / variances - 1.0) < 0.12)
+    assert not any(info.is_divergent for info in infos)
+
+
+_LOG_WEIGHTS = st.one_of(st.floats(-300.0, 300.0), st.just(-math.inf))
+_MERGE_UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 5e-324, 1.0 - 2**-53])
+)
+
+
+def _wins_below(u, probability, wins):
+    # A merge that picks the new proposal with ``probability`` must take it
+    # for every uniform below that and keep the old one above; uniforms
+    # within rounding of the edge may go either way.
+    if u < probability * (1.0 - 1e-9):
+        assert wins
+    elif u > probability * (1.0 + 1e-9):
+        assert not wins
+
+
+@settings(max_examples=500, deadline=None)
+@given(u=_MERGE_UNIFORMS, old=_LOG_WEIGHTS, new=_LOG_WEIGHTS)
+def test_nuts_joins_a_new_subtree_by_biased_progressive_sampling(u, old, new):
+    """The trajectory takes a new subtree's proposal with probability min(1, w_new / w_old)."""
+    log_weight, new_wins = nuts._join(u, old, new)
+    assert np.float64(log_weight).tobytes() == np.float64(nuts._logaddexp(old, new)).tobytes()
+    assert new_wins == (math.log(max(u, 1e-320)) < new - old)
+    if old == new == -math.inf:
+        assert not new_wins
+        return
+    if new >= old:
+        assert new_wins
+    _wins_below(u, min(1.0, math.exp(new - old)), new_wins)
+
+
+@settings(max_examples=500, deadline=None)
+@given(u=_MERGE_UNIFORMS, first=_LOG_WEIGHTS, second=_LOG_WEIGHTS)
+def test_nuts_merges_halves_of_a_subtree_by_uniform_progressive_sampling(u, first, second):
+    """Inside a subtree the second half's proposal wins with probability w2 / (w1 + w2)."""
+    log_weight, second_wins = nuts._merge(u, first, second)
+    assert np.float64(log_weight).tobytes() == np.float64(nuts._logaddexp(first, second)).tobytes()
+    if first == second == -math.inf:
+        assert not second_wins
+        return
+    _wins_below(u, math.exp(second - log_weight), second_wins)
+
+
+def test_nuts_takes_a_heavier_new_subtree_under_the_largest_merge_uniform():
+    """One leapfrog from x = 1, p = 0 lowers the energy, so the leaf outweighs the start."""
+    target = std_normal(1).target
+    kernel = nuts.build_kernel(0.5, max_depth=1)
+    state = nuts.init(np.array([1.0]), target)
+    u = 1.0 - 2**-53
+    record = kernel.draw(make_key(0), target)._replace(
+        normals=np.zeros(1), directions=[0.0], merges=[u]
+    )
+    new_state, info = kernel(record, state, target)
+    start_energy = -state.logdensity
+    assert info.energy < start_energy
+    # The uniform rule would have kept the start under this uniform.
+    assert not nuts._merge(u, 0.0, start_energy - info.energy)[1]
+    assert info.accepted and info.num_integration_steps == 1
+    np.testing.assert_array_equal(new_state.position, [0.875])
 
 
 # ------------------------------------------------------- shared contracts

@@ -5,7 +5,9 @@ is built, and the kernel builds its trees leaf by leaf with a stack.  These
 tests compare a step under a record drawn in a block of keys with a frozen
 reference: the recursive tree builder, written on ``integrator.leapfrog``
 and ``total_energy``, that draws each number from its key as the tree asks
-for it (``split_key`` and ``uniform`` node by node).
+for it (``split_key`` and ``uniform`` node by node).  Its subtrees merge
+their halves by uniform progressive sampling, and each finished subtree
+joins the trajectory by biased progressive sampling.
 """
 
 import math
@@ -82,7 +84,16 @@ def _merge_proposal(u, first, second):
     return first.proposal, first.proposal_energy, log_weight
 
 
-def _combine(u, first, second, direction, metric):
+def _biased_proposal(u, tree, subtree):
+    # A new subtree joins the trajectory: its proposal wins with probability
+    # ``min(1, w_subtree / w_tree)``.
+    log_weight = _logaddexp(tree.log_weight, subtree.log_weight)
+    if math.log(max(u, 1e-320)) < subtree.log_weight - tree.log_weight:
+        return subtree.proposal, subtree.proposal_energy, log_weight
+    return tree.proposal, tree.proposal_energy, log_weight
+
+
+def _combine(u, first, second, direction, metric, merge_proposal=_merge_proposal):
     # Join ``second``, grown from ``first``'s edge along ``direction``.
     left = first.left if direction == 1 else second.left
     right = second.right if direction == 1 else first.right
@@ -93,7 +104,7 @@ def _combine(u, first, second, direction, metric):
             left, right, first.proposal, first.proposal_energy, first.log_weight,
             alpha_sum, num_leapfrogs, second.turning, second.diverging,
         )
-    proposal, proposal_energy, log_weight = _merge_proposal(u, first, second)
+    proposal, proposal_energy, log_weight = merge_proposal(u, first, second)
     return _Tree(
         left, right, proposal, proposal_energy, log_weight,
         alpha_sum, num_leapfrogs, _is_turning(left, right, metric), False,
@@ -123,7 +134,9 @@ def _keyed_step(key, state, target, step_size, metric, max_depth, threshold):
         key_direction, key_build, key_select = split_key(keys[1 + depth], 3)
         direction = 1 if uniform(key_direction) < 0.5 else -1
         subtree = build(key_build, tree.right if direction == 1 else tree.left, direction, depth)
-        tree = _combine(uniform(key_select), tree, subtree, direction, metric)
+        tree = _combine(
+            uniform(key_select), tree, subtree, direction, metric, _biased_proposal
+        )
         if subtree.turning or subtree.diverging:
             break
         depth += 1
