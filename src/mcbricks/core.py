@@ -19,6 +19,14 @@ atom on to the step, and :func:`step_inputs` serves the steps of a chain a
 block at a time; :func:`run_chain` and warmup draw through it.  The fixed
 kernels step one state or an ensemble with one body, :func:`evaluate`
 being the one place that tells the two shapes apart for the target.
+
+A target callable may carry a *row form* as its ``rows`` attribute:
+``logdensity.rows(positions, with_gradient)`` evaluates every row of an
+``(n, dim)`` block in a few array calls and leaves the results in a cache
+the target's per-position callables read (:func:`fused_callables` builds
+such a pair).  :func:`evaluate_rows` calls it once per block and then still
+calls every per-position callable once per row, so a wrapper around them
+(a counter, a penalty, a tempered closure) sees every position.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ __all__ = [
     "init",
     "evaluate",
     "evaluate_rows",
+    "fused_callables",
     "bind",
     "bound_draw",
     "kernel_draws",
@@ -63,6 +72,10 @@ class Target:
         ``-inf`` outside the support; must never return ``+inf``.
     gradient
         Maps a position to the gradient array of shape ``(dim,)``.
+
+    ``logdensity`` may carry a row form as its ``rows`` attribute, which
+    :func:`evaluate_rows` calls before its row loop (see
+    :func:`fused_callables`); the constructor is the same either way.
     """
 
     dim: int
@@ -133,10 +146,15 @@ def evaluate(position: np.ndarray, logdensity: Callable, gradient: Optional[Call
     """Log density and gradient (``None`` without ``gradient``) at ``position``.
 
     One position gives a Python ``float`` and a ``float64`` array; an
-    ``(n, dim)`` matrix gives :func:`evaluate_rows`.
+    ``(n, dim)`` matrix gives :func:`evaluate_rows`.  A row form, when
+    ``logdensity`` has one, sees one position as a block of one, so it
+    evaluates the gradient only when ``gradient`` is given.
     """
     if position.ndim == 2:
         return evaluate_rows(position, logdensity, gradient)
+    rows = getattr(logdensity, "rows", None)
+    if rows is not None:
+        rows(position[None], gradient is not None)
     if gradient is None:
         return float(logdensity(position)), None
     return float(logdensity(position)), np.asarray(gradient(position), dtype=float)
@@ -150,11 +168,22 @@ def evaluate_rows(
     """Log densities ``(n,)`` and gradients ``(n, dim)`` of the rows of ``positions``.
 
     Target callables take one position, so this is a loop over rows, the
-    only one on the ensemble path.  Each row's density is asked for just
-    before its gradient, so a target that shares work between the two calls
-    for one position (as ``logistic_synth`` does) still can.  Without
+    only one on the ensemble path.  When ``logdensity`` carries a row form
+    (its ``rows`` attribute), it is first called once on the whole block,
+    with the gradients asked for iff ``gradient`` is given; the loop then
+    reads each row's results from the target's cache.  Either way every
+    callable is called once per row, the density just before the gradient,
+    so a wrapper that counts or changes evaluations still sees each one,
+    and a wrapper that moves the position only misses the cache.  Without
     ``gradient`` the second result is ``None``.
+
+    The fused arrays are not used directly yet: a caller that counts
+    evaluations by wrapping the per-position callables would then count
+    none.
     """
+    rows = getattr(logdensity, "rows", None)
+    if rows is not None:
+        rows(positions, gradient is not None)
     densities = np.empty(positions.shape[0])
     gradients = None if gradient is None else np.empty(positions.shape)
     for i, position in enumerate(positions):
@@ -162,6 +191,54 @@ def evaluate_rows(
         if gradient is not None:
             gradients[i] = gradient(position)
     return densities, gradients
+
+
+def fused_callables(
+    body: Callable[[np.ndarray, bool], tuple[np.ndarray, Optional[np.ndarray]]],
+) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:
+    """Per-position ``(logdensity, gradient)`` evaluated through one row-form ``body``.
+
+    ``body(positions, with_gradient)`` maps a C-contiguous ``(n, dim)``
+    block to its densities ``(n,)`` and, with ``with_gradient``, its
+    gradients ``(n, dim)`` (else ``None``).  The returned ``logdensity``
+    carries ``rows(positions, with_gradient)``, which evaluates a block and
+    keeps its results in a cache keyed by each row's bytes; the cache holds
+    that one block.  Both callables read a position's results from it, and
+    on a miss evaluate the position as a block of one, with its gradient,
+    which then replaces the cache.  So a row has one code path, and a
+    density asked for just before the gradient at the same position shares
+    the work.  The cache is swapped whole, never edited, so threads may
+    share the callables; the gradient is returned as a fresh array.
+    """
+    cache: dict = {}
+
+    def rows(positions: np.ndarray, with_gradient: bool) -> None:
+        nonlocal cache
+        positions = np.ascontiguousarray(positions, dtype=float)
+        densities, gradients = body(positions, with_gradient)
+        keys = [row.tobytes() for row in positions]
+        found = [None] * len(keys) if gradients is None else list(gradients)
+        cache = dict(zip(keys, zip(densities.tolist(), found)))
+
+    def lookup(x: np.ndarray, with_gradient: bool) -> tuple:
+        nonlocal cache
+        x = np.ascontiguousarray(x, dtype=float)
+        key = x.tobytes()
+        entry = cache.get(key)
+        if entry is None or (with_gradient and entry[1] is None):
+            densities, gradients = body(x[None], True)
+            entry = (float(densities[0]), gradients[0])
+            cache = {key: entry}
+        return entry
+
+    def logdensity(x: np.ndarray) -> float:
+        return lookup(x, False)[0]
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return lookup(x, True)[1].copy()
+
+    logdensity.rows = rows
+    return logdensity, gradient
 
 
 def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple]) -> SamplingAlgorithm:

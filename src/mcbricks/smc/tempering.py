@@ -71,7 +71,13 @@ class TemperedTarget:
     grad_likelihood: Callable[[np.ndarray], np.ndarray]
 
     def at_temperature(self, lmbda: float) -> Target:
-        """The tempered density as an ordinary MCMC target."""
+        """The tempered density as an ordinary MCMC target.
+
+        When ``log_likelihood`` carries a row form (its ``rows`` attribute,
+        see :func:`mcbricks.core.fused_callables`), the density hands it on,
+        so :func:`~mcbricks.core.evaluate_rows` fills the likelihood's cache
+        for a whole block; the prior is still evaluated row by row.
+        """
         if not 0.0 <= lmbda <= 1.0:
             raise ValueError("inverse temperature must lie in [0, 1]")
 
@@ -83,6 +89,9 @@ class TemperedTarget:
                 self.grad_likelihood(x), dtype=float
             )
 
+        rows = getattr(self.log_likelihood, "rows", None)
+        if rows is not None:
+            logdensity.rows = rows
         return Target(self.dim, logdensity, gradient)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Target
+from .core import Target, fused_callables
 from .rng import RngKey, normal_matrix, normal_vector, split_key, uniform_vector
 from .smc.tempering import TemperedTarget
 
@@ -209,48 +209,47 @@ def make_logistic_data(key: RngKey) -> LogisticData:
     return LogisticData(design, labels, weights)
 
 
-def _logistic_terms(data: LogisticData):
+def _stacked_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``left[i] @ right[i]``, bit for bit: one ddot per row."""
+    return np.matmul(left[:, None, :], right[:, :, None])[:, 0, 0]
+
+
+def _logistic_callables(data: LogisticData, with_prior: bool):
+    """Per-position log likelihood (plus the N(0, I) prior with ``with_prior``) and gradient.
+
+    One body evaluates a block of weight rows.  A stacked matmul runs one
+    gemv or ddot per row inside NumPy's loop, so every row is bit for bit
+    the per-position ``design @ w``, ``labels @ s``, ``w @ w`` and
+    ``design.T @ r``; the rest is elementwise or reduces each row in order.
+    """
     design, labels = data.design, data.labels
-    # Samplers ask for the density and then the gradient at the same
-    # position (``core.evaluate`` and ``evaluate_rows`` do), so the linear
-    # predictor ``design @ w`` of the last position is kept.  The entry is
-    # keyed by the position's bytes, not by the array, because a caller may
-    # refill one array with a new position; a miss only costs the matmul.
-    memo = (None, None)
+    labels_column = labels[:, None]
 
-    def scores_at(w: np.ndarray) -> np.ndarray:
-        nonlocal memo
-        key = np.asarray(w, dtype=float).tobytes()
-        cached_key, scores = memo
-        if key != cached_key:
-            scores = design @ w
-            memo = (key, scores)
-        return scores
+    def body(weights: np.ndarray, with_gradient: bool):
+        scores = np.matmul(design, weights[:, :, None])[:, :, 0]
+        densities = np.matmul(scores[:, None, :], labels_column)[:, 0, 0]
+        densities -= np.logaddexp(0.0, scores).sum(axis=1)
+        if with_prior:
+            densities = -0.5 * _stacked_dot(weights, weights) + densities
+        if not with_gradient:
+            return densities, None
+        residuals = labels - _sigmoid(scores)
+        gradients = np.matmul(design.T, residuals[:, :, None])[:, :, 0]
+        if with_prior:
+            gradients = np.negative(weights) + gradients
+        return densities, gradients
 
-    def loglik(w: np.ndarray) -> float:
-        scores = scores_at(w)
-        return float(labels @ scores - np.logaddexp(0.0, scores).sum())
-
-    def grad_loglik(w: np.ndarray) -> np.ndarray:
-        return design.T @ (labels - _sigmoid(scores_at(w)))
-
-    return loglik, grad_loglik
+    return fused_callables(body)
 
 
 def logistic_synth(key: RngKey) -> BuiltinTarget:
     """Bayesian logistic regression posterior on synthetic data.
 
     Standard-normal prior on the 5 weights; data from
-    :func:`make_logistic_data` using the supplied key.
+    :func:`make_logistic_data` using the supplied key.  The density carries
+    a row form (see :func:`mcbricks.core.fused_callables`).
     """
-    loglik, grad_loglik = _logistic_terms(make_logistic_data(key))
-
-    def logdensity(w: np.ndarray) -> float:
-        return _log_std_normal(w) + loglik(w)
-
-    def gradient(w: np.ndarray) -> np.ndarray:
-        return _grad_std_normal(w) + grad_loglik(w)
-
+    logdensity, gradient = _logistic_callables(make_logistic_data(key), with_prior=True)
     return BuiltinTarget(
         "logistic_synth",
         Target(LOGISTIC_NUM_FEATURES, logdensity, gradient),
@@ -298,15 +297,19 @@ def _conjugate_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dic
     col_sums = observations.sum(axis=0)
     sq_total = float(np.sum(observations * observations))
 
-    def loglik(x: np.ndarray) -> float:
+    constant = 0.5 * count * dim * math.log(2.0 * math.pi)
+
+    def body(positions: np.ndarray, with_gradient: bool):
         # sum_j -0.5 ||y_j - x||^2, constants included so the evidence
-        # estimate matches the normalized model.
-        quad = count * float(x @ x) - 2.0 * float(col_sums @ x) + sq_total
-        return -0.5 * quad - 0.5 * count * dim * math.log(2.0 * math.pi)
+        # estimate matches the normalized model.  Row i is bit for bit
+        # count * (x @ x) - 2 * (col_sums @ x) + sq_total for x = positions[i].
+        squares = _stacked_dot(positions, positions)
+        cross = np.matmul(col_sums, positions[:, :, None])[:, 0]
+        quad = count * squares - 2.0 * cross + sq_total
+        gradients = col_sums - count * positions if with_gradient else None
+        return -0.5 * quad - constant, gradients
 
-    def grad_loglik(x: np.ndarray) -> np.ndarray:
-        return col_sums - count * x
-
+    loglik, grad_loglik = fused_callables(body)
     tempered = TemperedTarget(dim, _log_std_normal, _grad_std_normal, loglik, grad_loglik)
     return tempered, {"observations": observations}
 
@@ -319,7 +322,7 @@ def _logistic_builtin(dim: int, data_key: Optional[RngKey]) -> BuiltinTarget:
 
 def _logistic_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dict]:
     data = make_logistic_data(data_key)
-    loglik, grad_loglik = _logistic_terms(data)
+    loglik, grad_loglik = _logistic_callables(data, with_prior=False)
     tempered = TemperedTarget(
         LOGISTIC_NUM_FEATURES, _log_std_normal, _grad_std_normal, loglik, grad_loglik
     )

@@ -129,6 +129,28 @@ def test_evaluate_rows_asks_each_row_for_density_then_gradient():
     assert none is None and only.tolist() == densities.tolist()
 
 
+def test_evaluate_rows_calls_the_row_form_once_per_block_before_the_loop():
+    calls = []
+
+    def logdensity(x):
+        calls.append(("density", float(x[0])))
+        return -0.5 * float(x @ x)
+
+    def gradient(x):
+        calls.append(("gradient", float(x[0])))
+        return -x
+
+    logdensity.rows = lambda block, with_gradient: calls.append(("rows", block, with_gradient))
+    positions = np.arange(6.0).reshape(3, 2)
+    densities, _ = evaluate_rows(positions, logdensity, gradient)
+    assert calls[0][0] == "rows" and calls[0][1] is positions and calls[0][2] is True
+    assert calls[1:] == [(kind, row) for row in (0.0, 2.0, 4.0) for kind in ("density", "gradient")]
+    np.testing.assert_array_equal(densities, [-0.5, -6.5, -20.5])
+    calls.clear()
+    evaluate_rows(positions, logdensity)
+    assert calls[0][2] is False and [kind for kind, *_ in calls[1:]] == ["density"] * 3
+
+
 # ------------------------------------------------------------- kernels
 
 

@@ -1,13 +1,16 @@
 """Tests for the built-in targets and their analytic companions."""
 
+import dataclasses
+import functools
 import math
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcbricks.core import Target, gradient_discrepancy
+from mcbricks.core import Target, evaluate_rows, gradient_discrepancy
 from mcbricks.rng import make_key, normal_matrix
 from mcbricks.targets import (
     CONJUGATE_NUM_OBSERVATIONS,
@@ -424,3 +427,166 @@ def test_logistic_memo_is_safe_for_threads_sharing_one_target():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == [0] * len(banks)
+
+
+# ------------------------------------------------- row forms
+#
+# ``logistic_synth`` and ``gauss_conjugate`` evaluate a block of positions
+# at a time through their ``rows`` form.  ``evaluate_rows`` must give bit for
+# bit what the frozen per-position references give, and every wrapper
+# around the per-position callables must still see each row.
+
+_SPECIAL_ROWS = _positions_with_extreme_scores(0, count=0)
+_ROW_SCALES = (1e-3, 1.0, 30.0, 1e3, 1e200)
+
+
+@st.composite
+def _blocks(draw, dim=LOGISTIC_NUM_FEATURES):
+    """1-300 rows at scales 1e-3 to 1e200, with some of the special rows among them."""
+    num = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.normal(size=(num, dim)) * rng.choice(_ROW_SCALES, size=(num, 1))
+    for index in draw(st.lists(st.integers(0, len(_SPECIAL_ROWS) - 1), max_size=10)):
+        block[rng.integers(num)] = np.concatenate([_SPECIAL_ROWS[index], np.zeros(dim)])[:dim]
+    return block
+
+
+def _per_row(target, block, with_gradient):
+    densities = np.array([float(target.logdensity(x)) for x in block])
+    if not with_gradient:
+        return densities, None
+    return densities, np.array([target.gradient(x) for x in block])
+
+
+def _assert_rows_match(got, ref, block, with_gradient):
+    have = evaluate_rows(block, got.logdensity, got.gradient if with_gradient else None)
+    want = _per_row(ref, block, with_gradient)
+    assert _bits(have[0]) == _bits(want[0])
+    assert (have[1] is None) == (want[1] is None)
+    if with_gradient:
+        assert _bits(have[1]) == _bits(want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_blocks(), lmbda=st.sampled_from([0.0, 0.37, 1.0]), with_gradient=st.booleans())
+def test_logistic_rows_match_the_reference_bitwise(block, lmbda, with_gradient):
+    key = make_key(3)
+    with np.errstate(all="ignore"):
+        for got, ref in zip(_shipped_targets(key, lmbda), _reference_targets(key, lmbda)):
+            assert callable(got.logdensity.rows)
+            _assert_rows_match(got, ref, block, with_gradient)
+
+
+def _reference_conjugate(observations, lmbda):
+    """(tempered at ``lmbda``, likelihood) as the per-position code computed them."""
+    count, dim = observations.shape
+    col_sums = observations.sum(axis=0)
+    sq_total = float(np.sum(observations * observations))
+
+    def loglik(x):
+        quad = count * float(x @ x) - 2.0 * float(col_sums @ x) + sq_total
+        return -0.5 * quad - 0.5 * count * dim * math.log(2.0 * math.pi)
+
+    def grad_loglik(x):
+        return col_sums - count * x
+
+    tempered = TemperedTarget(dim, lambda x: -0.5 * float(x @ x), lambda x: -x, loglik, grad_loglik)
+    return tempered.at_temperature(lmbda), Target(dim, loglik, grad_loglik)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), lmbda=st.sampled_from([0.0, 0.37, 1.0]),
+       with_gradient=st.booleans())
+def test_conjugate_rows_match_the_reference_bitwise(data, dim, lmbda, with_gradient):
+    block = data.draw(_blocks(dim))
+    tempered, details = make_tempered("gauss_conjugate", dim, make_key(8))
+    shipped = (
+        tempered.at_temperature(lmbda),
+        Target(dim, tempered.log_likelihood, tempered.grad_likelihood),
+    )
+    with np.errstate(all="ignore"):
+        for got, ref in zip(shipped, _reference_conjugate(details["observations"], lmbda)):
+            assert callable(got.logdensity.rows)
+            _assert_rows_match(got, ref, block, with_gradient)
+
+
+def _counting(fn, name, calls):
+    """A counting wrapper built the way the benchmark's tracer builds it."""
+
+    def counted(x):
+        calls.append((name, np.asarray(x).tobytes()))
+        return fn(x)
+
+    functools.update_wrapper(counted, fn)
+    return counted
+
+
+def test_a_counting_wrapper_sees_every_row_once_density_first():
+    key = make_key(6)
+    block = np.array(_positions_with_extreme_scores(12, count=40))
+    ref, ref_tempered, ref_likelihood = _reference_targets(key, 0.6)
+    builtin = make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, key).target
+    calls = []
+    counted = Target(
+        builtin.dim,
+        _counting(builtin.logdensity, "logdensity", calls),
+        _counting(builtin.gradient, "gradient", calls),
+    )
+    assert counted.logdensity.rows is builtin.logdensity.rows
+    rows = [x.tobytes() for x in block]
+    with np.errstate(all="ignore"):
+        _assert_rows_match(counted, ref, block, True)
+        assert calls == [(name, x) for x in rows for name in ("logdensity", "gradient")]
+
+        fields = ("log_prior", "grad_prior", "log_likelihood", "grad_likelihood")
+        tempered, _ = make_tempered("logistic_synth", LOGISTIC_NUM_FEATURES, key)
+        calls.clear()
+        wrapped = dataclasses.replace(
+            tempered, **{field: _counting(getattr(tempered, field), field, calls) for field in fields}
+        )
+        _assert_rows_match(wrapped.at_temperature(0.6), ref_tempered, block, True)
+        order = ("log_prior", "log_likelihood", "grad_prior", "grad_likelihood")
+        assert calls == [(name, x) for x in rows for name in order]
+        calls.clear()  # the SMC reweighting call: densities only
+        likelihood = Target(LOGISTIC_NUM_FEATURES, wrapped.log_likelihood, wrapped.grad_likelihood)
+        _assert_rows_match(likelihood, ref_likelihood, block, False)
+        assert calls == [("log_likelihood", x) for x in rows]
+
+
+def test_wrappers_that_change_the_result_or_the_position_are_not_bypassed():
+    key = make_key(7)
+    block = np.random.default_rng(3).normal(size=(25, LOGISTIC_NUM_FEATURES))
+    ref, _, _ = _reference_targets(key, 1.0)
+    target = make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, key).target
+
+    @functools.wraps(target.logdensity)
+    def penalized(x):
+        return target.logdensity(x) - 0.25 * float(x @ x)
+
+    @functools.wraps(target.logdensity)
+    def shifted(x):
+        return target.logdensity(x + 1.0)
+
+    densities = evaluate_rows(block, penalized, target.gradient)[0]
+    expected = [ref.logdensity(x) - 0.25 * float(x @ x) for x in block]
+    assert _bits(densities) == _bits(expected)
+    densities, gradients = evaluate_rows(block, shifted, target.gradient)
+    assert _bits(densities) == _bits([ref.logdensity(x + 1.0) for x in block])
+    assert _bits(gradients) == _bits([ref.gradient(x) for x in block])
+
+
+def test_a_tempered_target_hands_on_only_a_likelihood_row_form():
+    tempered, _ = make_tempered("logistic_synth", LOGISTIC_NUM_FEATURES, make_key(2))
+    at = tempered.at_temperature(0.5)
+    assert at.logdensity.rows is tempered.log_likelihood.rows
+    plain = TemperedTarget(2, lambda x: 0.0, lambda x: 0 * x, lambda x: 0.0, lambda x: 0 * x)
+    assert not hasattr(plain.at_temperature(0.5).logdensity, "rows")
+
+
+def test_a_gradient_changed_in_place_by_its_caller_leaves_the_cache_alone():
+    target = make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, make_key(9)).target
+    block = np.random.default_rng(4).normal(size=(3, LOGISTIC_NUM_FEATURES))
+    _, gradients = evaluate_rows(block, target.logdensity, target.gradient)
+    target.logdensity.rows(block, True)
+    target.gradient(block[1])[:] = np.nan
+    assert _bits(target.gradient(block[1])) == _bits(gradients[1])
