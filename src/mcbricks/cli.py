@@ -229,15 +229,32 @@ def _write_csv_rows(handle, leading: tuple, values: np.ndarray) -> None:
     """Write one line per row of the 2-D ``values``.
 
     A line is the ``leading`` integers, the row index, then every value as
-    ``%.17g`` (round-trip exact), comma-separated.  One format call per
-    row and one write per block of rows.
+    ``%.17g`` (round-trip exact), comma-separated.  A row whose 64-bit
+    patterns equal the previous row's (a rejected MCMC move) reuses that
+    row's value text, so ``0.0``/``-0.0`` and NaN payloads are still
+    formatted apart and the bytes are those of formatting every row.
+    One write per block of rows.
     """
-    line = "%d," * (len(leading) + 1) + ",".join(["%.17g"] * values.shape[1]) + "\n"
-    for start in range(0, values.shape[0], _CSV_BLOCK_ROWS):
-        block = values[start:start + _CSV_BLOCK_ROWS].tolist()
-        handle.write("".join([
-            line % (*leading, index, *row) for index, row in enumerate(block, start)
-        ]))
+    prefix = "%d," * (len(leading) + 1)
+    body = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    rows = values.shape[0]
+    text = ""
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, rows)
+        first = max(start - 1, 0)
+        window = np.ascontiguousarray(values[first:stop], dtype=np.float64)
+        bits = window.view(np.uint64)
+        repeats = (bits[1:] == bits[:-1]).all(axis=1).tolist()
+        if start == 0:
+            repeats.insert(0, False)
+        block = window[start - first:].tolist()
+        parts = []
+        for index, row, repeat in zip(range(start, stop), block, repeats):
+            if not repeat:
+                text = body % tuple(row)
+            parts.append(prefix % (*leading, index))
+            parts.append(text)
+        handle.write("".join(parts))
 
 
 def _write_samples_csv(path: Path, chains: list[np.ndarray]) -> None:

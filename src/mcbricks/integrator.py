@@ -165,7 +165,7 @@ def _kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
         return 0.5 * (metric.inverse_mass * momentum * momentum).sum(axis=-1)
     if metric.kind == "dense":
         return 0.5 * float(momentum @ (metric.inverse_mass @ momentum))
-    return 0.5 * float((metric.inverse_mass * momentum * momentum).sum())
+    return 0.5 * float(np.add.reduce(metric.inverse_mass * momentum * momentum))
 
 
 def sample_momentum(key: RngKey, metric: Metric) -> np.ndarray:

@@ -110,12 +110,13 @@ def aniso_gauss(dim: int) -> BuiltinTarget:
     TARGETS["aniso_gauss"].check_dim(dim)
     variances = aniso_variances(dim)
     precision = 1.0 / variances
+    negative_precision = -precision
 
     def logdensity(x: np.ndarray) -> float:
-        return -0.5 * float((precision * x * x).sum())
+        return -0.5 * float(np.add.reduce(precision * x * x))
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        return -precision * x
+        return negative_precision * x
 
     return BuiltinTarget(
         "aniso_gauss",

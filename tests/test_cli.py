@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mcbricks.cli import main
 from mcbricks.core import run_chain
@@ -316,6 +316,107 @@ def test_elbo_trace_bytes_match_per_cell_formatting(tmp_path, monkeypatch):
     assert code == 0
     expected = _per_cell_csv("step,elbo", [[]], [elbos[:, None]])
     assert (out_dir / "elbo_trace.csv").read_bytes() == expected.encode("utf-8")
+
+
+# Quiet NaNs with different payloads and signs: the same text, different bits.
+_NAN_PAYLOADS = np.array(
+    [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64
+).view(np.float64)
+_RUN_CHANGES = ("fresh", "zero_sign", "nan_payload")
+
+
+def _runs():
+    """Run lengths, each with how its row differs from the previous run's row."""
+    run = st.tuples(st.integers(1, 200), st.sampled_from(_RUN_CHANGES))
+    return st.lists(run, min_size=1, max_size=5)
+
+
+def _repeating_table(runs, cols, seed, first_row=None):
+    """Rows of ``_awkward_table`` repeated in runs.
+
+    A ``zero_sign`` run differs from the run before only in one column
+    holding ``0.0`` against ``-0.0``, a ``nan_payload`` run only in one
+    column's NaN bits.  ``first_row``, when given, is the first run's row.
+    A paired run that would change a column the previous row must keep
+    (any column of a given first row, or the one pairing the previous row
+    with its own predecessor) takes a fresh row instead.
+    """
+    source = _awkward_table(len(runs), cols, seed)
+    rows = [source[0].copy() if first_row is None else first_row.copy()]
+    kept = range(cols) if first_row is not None else ()
+    for index in range(1, len(runs)):
+        change, column = runs[index][1], index % cols
+        if change == "fresh" or column in kept:
+            rows.append(source[index].copy())
+            kept = ()
+            continue
+        previous, row = rows[-1], rows[-1].copy()
+        if change == "zero_sign":
+            previous[column], row[column] = 0.0, -0.0
+        else:
+            previous[column], row[column] = _NAN_PAYLOADS[index % 2], _NAN_PAYLOADS[2]
+        rows.append(row)
+        kept = (column,)
+    return np.repeat(np.array(rows), [length for length, _ in runs], axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chain_runs=st.lists(_runs(), min_size=1, max_size=3),
+    cols=st.sampled_from([1, 2, 7]),
+    seed=st.integers(0, 2**16),
+)
+# A run from row 0 across rows 63/64, another across 127/128, one column.
+@example(
+    chain_runs=[[(70, "fresh"), (1, "zero_sign"), (1, "fresh"), (1, "nan_payload"),
+                 (50, "fresh"), (10, "zero_sign"), (200, "fresh"), (3, "nan_payload")]],
+    cols=1, seed=0,
+)
+# Runs ending exactly on block edges, in several chains.
+@example(
+    chain_runs=[[(64, "fresh"), (64, "zero_sign"), (1, "fresh")],
+                [(63, "fresh"), (1, "fresh"), (66, "zero_sign")],
+                [(128, "fresh"), (1, "nan_payload")]],
+    cols=7, seed=1,
+)
+def test_samples_csv_with_repeated_rows_matches_per_cell_formatting(
+    tmp_path_factory, chain_runs, cols, seed
+):
+    from mcbricks.cli import _write_samples_csv
+
+    chains = []
+    for offset, runs in enumerate(chain_runs):
+        # Each chain after the first starts on the previous chain's last row.
+        first_row = chains[-1][-1] if chains else None
+        chains.append(_repeating_table(runs, cols, seed + offset, first_row))
+    assert all(a[-1].tobytes() == b[0].tobytes() for a, b in zip(chains, chains[1:]))
+    path = tmp_path_factory.mktemp("repeats") / "samples.csv"
+    _write_samples_csv(path, chains)
+    header = "chain,draw," + ",".join(f"dim_{i}" for i in range(cols))
+    expected = _per_cell_csv(header, [[str(c)] for c in range(len(chains))], chains)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_mostly_rejected_run_writes_the_per_cell_formatting_of_its_values(tmp_path):
+    code, out_dir = _run_cli(tmp_path, "rwm", [
+        "run", "--target", "std_normal", "--dim", "3", "--seed", "3",
+        "--algorithm", "rwm", "--proposal-scale", "3", "--num-warmup", "10",
+        "--num-samples", "300", "--num-chains", "2",
+    ])
+    assert code == 0
+    written = (out_dir / "samples.csv").read_bytes()
+    header, *lines = written.decode("utf-8").splitlines()
+    chains = [[], []]
+    for line in lines:
+        chain, draw, *cells = line.split(",")
+        assert int(draw) == len(chains[int(chain)])
+        chains[int(chain)].append([float(cell) for cell in cells])
+    chains = [np.array(rows) for rows in chains]
+    # Most proposals are rejected, so most rows repeat the row before.
+    repeats = sum(int((c[1:] == c[:-1]).all(axis=1).sum()) for c in chains)
+    assert repeats > len(lines) // 2
+    expected = _per_cell_csv(header, [["0"], ["1"]], chains)
+    assert written == expected.encode("utf-8")
 
 
 # ------------------------------------------------------------- other commands

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcbricks.core import Target
 from mcbricks.integrator import (
@@ -70,6 +71,21 @@ def test_kinetic_energy_diagonal_metric():
 def test_kinetic_energy_dimension_mismatch():
     with pytest.raises(ValueError):
         kinetic_energy(np.zeros(3), identity_metric(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.floats(-30.0, 30.0)), min_size=1, max_size=200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_kinetic_energy_matches_its_sum_form_bitwise(values, seed):
+    momentum = np.array(values)
+    inverse_mass = np.random.default_rng(seed).uniform(1e-3, 1e3, size=momentum.size)
+    metric = diagonal_metric(inverse_mass)
+    with np.errstate(all="ignore"):
+        energy = kinetic_energy(momentum, metric)
+        expected = 0.5 * float((inverse_mass * momentum * momentum).sum())
+    assert np.asarray(energy).tobytes() == np.asarray(expected).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,21 @@ def test_aniso_gauss_density_and_moments():
     np.testing.assert_allclose(bundle.analytic_moments[1], variances, rtol=1e-15)
 
 
+_VECTORS = st.lists(st.one_of(st.floats(), st.floats(-30.0, 30.0)), min_size=1, max_size=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_VECTORS)
+def test_aniso_gauss_matches_its_sum_form_bitwise(values):
+    # The references negate and sum per call, through ``ndarray.sum``.
+    x = np.array(values)
+    precision = 1.0 / aniso_variances(x.size)
+    target = aniso_gauss(x.size).target
+    with np.errstate(all="ignore"):
+        assert _bits(target.logdensity(x)) == _bits(-0.5 * float((precision * x * x).sum()))
+        assert _bits(target.gradient(x)) == _bits(-precision * x)
+
+
 # ------------------------------------------------------------- banana
 
 
