@@ -237,7 +237,14 @@ def _logistic_callables(data: LogisticData, with_prior: bool):
         residuals = labels - _sigmoid(scores)
         gradients = np.matmul(design.T, residuals[:, :, None])[:, :, 0]
         if with_prior:
-            gradients = np.negative(weights) + gradients
+            likelihood_gradients = gradients
+            gradients = np.negative(weights) + likelihood_gradients
+            # A NaN weight meets a NaN gradient of the other sign here, and
+            # which NaN an add returns depends on where the element falls in
+            # NumPy's loop.  A NaN weight makes its density NaN, so those rows
+            # are redone as the per-position ``-w + g`` on fresh rows.
+            for i in np.flatnonzero(np.isnan(densities)):
+                gradients[i] = np.negative(weights[i]) + likelihood_gradients[i].copy()
         return densities, gradients
 
     return fused_callables(body)

@@ -492,6 +492,24 @@ def test_logistic_rows_match_the_reference_bitwise(block, lmbda, with_gradient):
             _assert_rows_match(got, ref, block, with_gradient)
 
 
+@pytest.mark.parametrize("nan", [np.nan, -np.nan])
+def test_logistic_rows_keep_the_nan_of_each_position_at_every_block_size(nan):
+    """A NaN weight meets a NaN gradient of the other sign in ``-w + g``.
+
+    Which of the two NaNs an add returns can depend on where the element
+    falls in NumPy's loop, so every block size and row place is tried.
+    """
+    key = make_key(3)
+    with np.errstate(all="ignore"):
+        for num in range(1, 41):
+            for place in sorted({0, num // 2, num - 1}):
+                block = np.random.default_rng(num).normal(size=(num, LOGISTIC_NUM_FEATURES))
+                block[place] = 0.0
+                block[place, num % LOGISTIC_NUM_FEATURES] = nan
+                for got, ref in zip(_shipped_targets(key, 1.0), _reference_targets(key, 1.0)):
+                    _assert_rows_match(got, ref, block, with_gradient=True)
+
+
 def _reference_conjugate(observations, lmbda):
     """(tempered at ``lmbda``, likelihood) as the per-position code computed them."""
     count, dim = observations.shape
