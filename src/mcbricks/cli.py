@@ -157,8 +157,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     run.add_argument("--persistence", type=float, default=0.9)
     run.add_argument("--slice-jitter", type=float, default=0.0)
     run.add_argument("--target-accept", type=float, default=0.8)
-    run.add_argument("--max-depth", type=int, default=10)
-    run.add_argument("--divergence-threshold", type=float, default=1000.0)
+    run.add_argument("--max-depth", type=int, default=nuts.DEFAULT_MAX_DEPTH)
+    run.add_argument("--divergence-threshold", type=float, default=hmc.DEFAULT_DIVERGENCE_THRESHOLD)
     run.add_argument("--mass", choices=("diagonal", "dense"), default="diagonal")
     run.set_defaults(handler=_cmd_run)
 
@@ -354,7 +354,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("--chain-workers must be positive")
     started = time.perf_counter()
     adapted = args.algorithm in ("hmc", "nuts")
-    step_size = args.step_size or (1.0 if adapted else 0.1)
+    step_size = args.step_size if args.step_size is not None else (1.0 if adapted else 0.1)
     with _building():
         target = make_builtin(name, dim, data_key=key_data).target
         # hmc/nuts build this only as a check; each chain adapts its own.

@@ -193,6 +193,20 @@ def evaluate_rows(
     return densities, gradients
 
 
+def _row_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``left[i] @ right[i]``, or ``left[i] @ right`` for one shared vector.
+
+    The stacked product runs one BLAS dot per row, so every row is bit for
+    bit the single-position ``@``.
+    """
+    return np.matmul(left[:, None, :], right[..., None])[:, 0, 0]
+
+
+def _row_matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``matrix @ rows[i]``, bit for bit: one BLAS gemv per row."""
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
 def fused_callables(
     body: Callable[[np.ndarray, bool], tuple[np.ndarray, Optional[np.ndarray]]],
 ) -> tuple[Callable[[np.ndarray], float], Callable[[np.ndarray], np.ndarray]]:

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .core import Target, evaluate, init
+from .core import Target, _row_dot, _row_matvec, evaluate, init
 from .rng import (
     RngKey, normal_rows, normal_vector, split_key, split_key_rows, uniform, uniform_rows,
 )
@@ -125,11 +125,8 @@ def integrator_state(target: Target, position: np.ndarray, momentum: np.ndarray)
 
 
 def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # ``matrix @ v`` for a vector or for each row of a matrix; the stacked
-    # product runs the same matrix-vector kernel once per row.
-    if vectors.ndim == 1:
-        return matrix @ vectors
-    return np.matmul(matrix, vectors[:, :, None])[:, :, 0]
+    # ``matrix @ v`` for a vector or, bit for bit, for each row of a matrix.
+    return matrix @ vectors if vectors.ndim == 1 else _row_matvec(matrix, vectors)
 
 
 def check_metric(metric: Metric, dim: int) -> None:
@@ -160,8 +157,7 @@ def _kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
     # kernels' energy rule, whose momenta come from a metric checked at build.
     if momentum.ndim == 2:
         if metric.kind == "dense":
-            products = _matvec(metric.inverse_mass, momentum)
-            return 0.5 * np.array([p @ v for p, v in zip(momentum, products)])
+            return 0.5 * _row_dot(momentum, _row_matvec(metric.inverse_mass, momentum))
         return 0.5 * (metric.inverse_mass * momentum * momentum).sum(axis=-1)
     if metric.kind == "dense":
         return 0.5 * float(momentum @ (metric.inverse_mass @ momentum))

@@ -26,7 +26,9 @@ from ..integrator import (
     momentum_draw,
     total_energy,
 )
-from ..proposal import SliceVariable, drift_slice, nonreversible_slice_accept, safe_energy_diff
+from ..proposal import (
+    SliceVariable, acceptance_probability, drift_slice, nonreversible_slice_accept, safe_energy_diff,
+)
 from ..rng import RngKey
 
 __all__ = ["GhmcState", "init", "build_kernel", "as_algorithm"]
@@ -101,7 +103,7 @@ def build_kernel(
         end = leapfrog(start, step_size, kernel_metric, target)
         energy_end = total_energy(end, kernel_metric)
         log_ratio = safe_energy_diff(energy_start, energy_end)
-        p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
+        p_accept = acceptance_probability(log_ratio)
         proposed = GhmcState(end.position, end.logdensity, end.gradient, end.momentum, state.slice_var)
         # A rejection keeps the position and negates the momentum.
         current = GhmcState(state.position, state.logdensity, state.gradient, -momentum, state.slice_var)

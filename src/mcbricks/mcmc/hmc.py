@@ -61,11 +61,9 @@ def build_kernel(
 
     def decide(u: float, energy_start: float, energy_end: float) -> tuple[bool, AcceptanceInfo]:
         log_ratio = safe_energy_diff(energy_start, energy_end)
-        p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
         divergent = not math.isfinite(energy_end) or (energy_end - energy_start) > divergence_threshold
-        accepted = False
-        if not divergent:
-            accepted, p_accept = binomial_decision(u, log_ratio)
+        # u = 1 rejects a divergent move whatever its probability.
+        accepted, p_accept = binomial_decision(1.0 if divergent else u, log_ratio)
         energy = energy_end if accepted else energy_start
         return accepted, AcceptanceInfo(p_accept, accepted, divergent, energy, num_integration_steps)
 

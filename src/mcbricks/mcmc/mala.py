@@ -26,6 +26,7 @@ from ..core import (
     GradientState,
     SamplingAlgorithm,
     Target,
+    _row_dot,
     bind,
     evaluate,
     init,
@@ -39,10 +40,10 @@ __all__ = ["init", "build_kernel", "as_algorithm"]
 
 
 def _log_transition(to: np.ndarray, frm: np.ndarray, gradient: np.ndarray, step_size: float):
-    # One float, or a list of one per row for (n, dim) arguments.
+    # One float, or an array of one per row for (n, dim) arguments.
     drift = to - frm - step_size * gradient
     if drift.ndim == 2:
-        return [-float(row @ row) / (4.0 * step_size) for row in drift]
+        return -_row_dot(drift, drift) / (4.0 * step_size)
     return -float(drift @ drift) / (4.0 * step_size)
 
 

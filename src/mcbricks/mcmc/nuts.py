@@ -47,7 +47,7 @@ the kernel given a record moves exactly as it would under the record's key.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class NutsDraw(NamedTuple):
     depth ``j``: ``directions[j]`` picks its direction, ``merges[j]`` merges
     its subtree into the tree, and ``build_keys[j]`` is the key the subtree
     is built from.  ``heaps`` holds the merge uniforms of the subtrees of
-    depth 1 to 3, each in heap order (:func:`_merge_heaps`), one after the
+    depth 1 to 3, each in heap order (:func:`_merge_heap`), one after the
     other.
     """
 
@@ -176,7 +176,7 @@ def _subtree(
     or a divergence inside it returns ``None`` for its edge and proposal:
     only its alpha sum, its leaf count and ``diverging`` count.
 
-    ``heap`` holds the merge uniforms (:func:`_merge_heaps`).  The alpha sum
+    ``heap`` holds the merge uniforms (:func:`_merge_heap`).  The alpha sum
     is added in the tree's order: ``first + second`` at each merge, and on a
     stop the stack's first halves from the innermost out.
     """
@@ -233,29 +233,22 @@ def _subtree(
     return edge, proposal, proposal_energy, log_weight, alpha, 1 << depth, False
 
 
-def _merge_heaps(keys: np.ndarray, depths: Sequence[int]) -> np.ndarray:
-    """The merge uniforms of subtrees built from ``keys``, one row of heaps per row of keys.
+def _merge_heap(keys: np.ndarray, depth: int) -> np.ndarray:
+    """The merge uniforms of depth-``depth`` subtrees built from ``keys``, one heap per key.
 
-    ``keys[:, j]`` is the build key of a subtree of depth ``depths[j]``, in
-    ascending order of depth.  A subtree of depth at least 1 splits its key
-    into (first half, second half, merge) keys.  Heap entry ``i`` is node
-    ``i``'s merge uniform, and its halves are nodes ``2 * i + 1`` and
-    ``2 * i + 2``: ``2**depth - 1`` entries per subtree, the subtrees' heaps
-    one after the other.  All the subtrees descend together, one tree level
-    per pair of array calls.
+    A subtree of depth at least 1 splits its key into (first half, second
+    half, merge) keys.  Heap entry ``i`` is node ``i``'s merge uniform, and
+    its halves are nodes ``2 * i + 1`` and ``2 * i + 2``: ``2**depth - 1``
+    entries per row.  All the keys descend together, one tree level per
+    pair of array calls.
     """
     count = keys.shape[0]
-    nodes, levels = keys[:, :, None], []
-    for level in range(max(depths, default=0)):
+    nodes, levels = keys, []
+    for _ in range(depth):
         children = split_key_rows(nodes.reshape(-1, 2), 3)
-        levels.append(uniform_rows(children[:, 2]).reshape(count, nodes.shape[1], -1))
-        # The subtrees of depth ``level + 1`` are complete; the deeper ones,
-        # last in ``keys``, go on.
-        nodes = children[:, :2].reshape(count, nodes.shape[1], -1, 2)
-        nodes = nodes[:, depths.count(level + 1):]
-    # Subtree j is column j of every level it reaches, counted from the end.
-    heaps = [levels[level][:, j - len(depths)] for j, d in enumerate(depths) for level in range(d)]
-    return np.concatenate([np.empty((count, 0))] + heaps, axis=1)
+        levels.append(uniform_rows(children[:, 2]).reshape(count, -1))
+        nodes = children[:, :2]
+    return np.concatenate(levels, axis=1)
 
 
 def _heap(record: NutsDraw, depth: int) -> list:
@@ -263,7 +256,7 @@ def _heap(record: NutsDraw, depth: int) -> list:
     if depth <= _HEAP_DEPTH:
         offset = 2**depth - depth - 1
         return record.heaps[offset:offset + 2**depth - 1]
-    return _merge_heaps(record.build_keys[None, depth:depth + 1], [depth])[0].tolist()
+    return _merge_heap(record.build_keys[None, depth], depth)[0].tolist()
 
 
 def _draw_atom(max_depth: int) -> Callable:
@@ -286,7 +279,7 @@ def _draw_atom(max_depth: int) -> Callable:
         directions = uniform_rows(parts[:, :, 0].reshape(-1, 2)).reshape(count, max_depth)
         merges = uniform_rows(parts[:, :, 2].reshape(-1, 2)).reshape(count, max_depth)
         build_keys = parts[:, :, 1]
-        heaps = _merge_heaps(build_keys[:, 1:1 + len(heap_depths)], heap_depths)
+        heaps = np.hstack([np.empty((count, 0)), *(_merge_heap(build_keys[:, d], d) for d in heap_depths)])
         return list(map(NutsDraw._make, zip(
             normals, directions.tolist(), merges.tolist(), build_keys, heaps.tolist()
         )))

@@ -26,6 +26,7 @@ __all__ = [
     "SliceVariable",
     "safe_energy_diff",
     "asymmetric_log_ratio",
+    "acceptance_probability",
     "binomial_decision",
     "binomial_accept",
     "select_rows",
@@ -76,18 +77,24 @@ def asymmetric_log_ratio(
     return ratio
 
 
+def acceptance_probability(log_ratio: float) -> float:
+    """``min(1, exp(log_ratio))``, and 0 for a NaN log ratio."""
+    if math.isnan(log_ratio):
+        return 0.0
+    return min(1.0, math.exp(min(log_ratio, 0.0)))
+
+
 def binomial_decision(u: float, log_ratio: float) -> tuple[bool, float]:
     """The rule of :func:`binomial_accept` for a uniform ``u`` already drawn.
 
-    Returns ``(accepted, p_accept)``.  A NaN log ratio is a rejection with
+    Returns ``(accepted, p_accept)`` with ``p_accept`` the
+    :func:`acceptance_probability`, so a NaN log ratio is a rejection with
     ``p_accept = 0``.  The built-in kernels take their uniform from the row
     their draw atom gives (one per ensemble row, or per step of a block drawn
     by ``run_chain``) and apply this inside their accept rule (see
     :func:`settle`).
     """
-    if math.isnan(log_ratio):
-        return False, 0.0
-    p_accept = min(1.0, math.exp(min(log_ratio, 0.0)))
+    p_accept = acceptance_probability(log_ratio)
     return u < p_accept, p_accept
 
 

@@ -123,18 +123,10 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_seed(key: RngKey, tag: int) -> int:
-    # Fold (hi, lo, tag) into a single well-mixed 64-bit stream seed: three
-    # _mix64 rounds, written out to save two calls on every draw.
-    z = (key.hi + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-    z ^= (z >> 31) ^ key.lo
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-    z ^= (z >> 31) ^ (tag * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF)
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+    # Fold (hi, lo, tag) into a single well-mixed 64-bit stream seed.
+    z = _mix64((key.hi + _GOLDEN) & _MASK64) ^ key.lo
+    z = _mix64(z) ^ (tag * _GOLDEN & _MASK64)
+    return _mix64(z)
 
 
 def _word(seed: int, index: int) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Target, fused_callables
+from .core import Target, _row_dot, _row_matvec, fused_callables
 from .rng import RngKey, normal_matrix, normal_vector, split_key, uniform_vector
 from .smc.tempering import TemperedTarget
 
@@ -210,32 +210,27 @@ def make_logistic_data(key: RngKey) -> LogisticData:
     return LogisticData(design, labels, weights)
 
 
-def _stacked_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Row ``i`` is ``left[i] @ right[i]``, bit for bit: one ddot per row."""
-    return np.matmul(left[:, None, :], right[:, :, None])[:, 0, 0]
-
-
 def _logistic_callables(data: LogisticData, with_prior: bool):
     """Per-position log likelihood (plus the N(0, I) prior with ``with_prior``) and gradient.
 
-    One body evaluates a block of weight rows.  A stacked matmul runs one
-    gemv or ddot per row inside NumPy's loop, so every row is bit for bit
-    the per-position ``design @ w``, ``labels @ s``, ``w @ w`` and
-    ``design.T @ r``; the rest is elementwise or reduces each row in order.
+    One body evaluates a block of weight rows.  The row products
+    (:func:`~mcbricks.core._row_matvec`, :func:`~mcbricks.core._row_dot`)
+    make every row bit for bit the per-position ``design @ w``,
+    ``s @ labels``, ``w @ w`` and ``design.T @ r``; the rest is elementwise
+    or reduces each row in order.
     """
     design, labels = data.design, data.labels
-    labels_column = labels[:, None]
 
     def body(weights: np.ndarray, with_gradient: bool):
-        scores = np.matmul(design, weights[:, :, None])[:, :, 0]
-        densities = np.matmul(scores[:, None, :], labels_column)[:, 0, 0]
+        scores = _row_matvec(design, weights)
+        densities = _row_dot(scores, labels)
         densities -= np.logaddexp(0.0, scores).sum(axis=1)
         if with_prior:
-            densities = -0.5 * _stacked_dot(weights, weights) + densities
+            densities = -0.5 * _row_dot(weights, weights) + densities
         if not with_gradient:
             return densities, None
         residuals = labels - _sigmoid(scores)
-        gradients = np.matmul(design.T, residuals[:, :, None])[:, :, 0]
+        gradients = _row_matvec(design.T, residuals)
         if with_prior:
             likelihood_gradients = gradients
             gradients = np.negative(weights) + likelihood_gradients
@@ -311,8 +306,8 @@ def _conjugate_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dic
         # sum_j -0.5 ||y_j - x||^2, constants included so the evidence
         # estimate matches the normalized model.  Row i is bit for bit
         # count * (x @ x) - 2 * (col_sums @ x) + sq_total for x = positions[i].
-        squares = _stacked_dot(positions, positions)
-        cross = np.matmul(col_sums, positions[:, :, None])[:, 0]
+        squares = _row_dot(positions, positions)
+        cross = _row_matvec(col_sums[None], positions)[:, 0]
         quad = count * squares - 2.0 * cross + sq_total
         gradients = col_sums - count * positions if with_gradient else None
         return -0.5 * quad - constant, gradients

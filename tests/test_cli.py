@@ -500,6 +500,7 @@ _BAD_SETTINGS = [
     ["run", "--algorithm", "rwm", "--proposal-scale", "-1"],
     ["run", "--algorithm", "nuts", "--max-depth", "-1"],
     ["run", "--algorithm", "mala", "--step-size", "-1"],
+    ["run", "--algorithm", "mala", "--step-size", "0"],
     ["run", "--algorithm", "hmc", "--num-integration-steps", "0"],
     ["run", "--algorithm", "ghmc", "--slice-jitter", "2"],
     ["run-smc", "--target-ess-ratio", "1.5"],

@@ -1,11 +1,15 @@
 """Tests for the shared contracts and the chain runner."""
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcbricks.core import ChainError, Target, gradient_discrepancy, run_chain
+from mcbricks.core import (
+    ChainError, Target, _row_dot, _row_matvec, gradient_discrepancy, run_chain,
+)
 from mcbricks.rng import fold_in, make_key
 
 
@@ -202,3 +206,51 @@ def test_step_inputs_serve_keys_or_records_for_any_range():
     assert blocks == [fold_in_range(key, 3, 7).tolist(), fold_in_range(key, 7, 11).tolist(),
                       fold_in_range(key, 11, 13).tolist()]
     assert served == list(zip(range(3, 13), [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]))
+
+
+_SPECIAL_VALUES = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e300)
+
+
+@st.composite
+def _row_tables(draw):
+    """Two ``(n, dim)`` operands, a shared vector and a square matrix, views of larger buffers.
+
+    Rows may be strided and start at an offset, columns may be strided, the
+    matrix may be a transposed view, and special values land anywhere.
+    """
+    rows, dim = draw(st.integers(1, 40)), draw(st.integers(1, 120))
+    row_step, col_step, offset = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+
+    def view(buffer):
+        return buffer[offset:offset + rows * row_step:row_step, offset:offset + dim * col_step:col_step]
+
+    buffers = [scale * rng.standard_normal((3 * rows + 3, 2 * dim + 3)) for _ in range(2)]
+    for buffer in buffers:
+        for i, j, value in draw(st.lists(st.tuples(
+            st.integers(0, buffer.shape[0] - 1), st.integers(0, buffer.shape[1] - 1),
+            st.sampled_from(_SPECIAL_VALUES),
+        ), max_size=12)):
+            buffer[i, j] = value
+    matrix = rng.standard_normal((dim, dim))
+    if draw(st.booleans()):
+        matrix = matrix.T
+    matrix[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] = draw(st.sampled_from(_SPECIAL_VALUES))
+    return view(buffers[0]), view(buffers[1]), buffers[1][-1, offset:offset + dim * col_step:col_step], matrix
+
+
+def _same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_row_tables())
+def test_row_products_equal_the_per_row_product_bit_for_bit(table):
+    left, right, shared, matrix = table
+    with np.errstate(over="ignore", invalid="ignore"):
+        _same_bits(_row_dot(left, right), np.array([a @ b for a, b in zip(left, right)]))
+        _same_bits(_row_dot(left, shared), np.array([a @ shared for a in left]))
+        _same_bits(_row_matvec(matrix, left), np.array([matrix @ a for a in left]))
+        _same_bits(_row_matvec(shared[None], left)[:, 0], np.array([shared @ a for a in left]))

@@ -17,7 +17,7 @@ from mcbricks.integrator import (
     trajectory,
 )
 from mcbricks.mcmc import ghmc, hmc, mala, nuts, rwm
-from mcbricks.rng import make_key, normal_vector, split_key, uniform
+from mcbricks.rng import fold_in, key_rows, make_key, normal_vector, split_key, uniform
 from mcbricks.targets import aniso_gauss, std_normal
 
 _FLAT_2D = Target(2, lambda x: 0.0, lambda x: np.zeros(2))
@@ -299,6 +299,23 @@ def test_ghmc_rejection_reports_the_start_energy():
     assert info.is_divergent  # the proposal left the support entirely
 
 
+@pytest.mark.parametrize("module, kernel", [
+    (hmc, hmc.build_kernel(0.1, 3)),
+    (ghmc, ghmc.build_kernel(0.1, persistence=0.5)),
+], ids=["hmc", "ghmc"])
+def test_a_nan_density_start_rejects_with_zero_probability(module, kernel):
+    # NaN at the origin only: every proposal lands on an ordinary density,
+    # but the log ratio from a NaN start is NaN, which no rule accepts.
+    target = Target(1, lambda x: math.nan if x[0] == 0.0 else -0.5 * float(x @ x), lambda x: -x)
+    state = module.init(np.zeros(1), target)
+    for seed in range(20):
+        new_state, info = kernel(make_key(seed), state, target)
+        assert not info.accepted
+        assert info.p_accept == 0.0
+        assert not info.is_divergent
+        np.testing.assert_array_equal(new_state.position, state.position)
+
+
 def test_ghmc_validates_parameters():
     with pytest.raises(ValueError):
         ghmc.build_kernel(0.0)
@@ -407,6 +424,27 @@ def test_nuts_validates_parameters():
         nuts.build_kernel(0.0)
     with pytest.raises(ValueError):
         nuts.build_kernel(0.1, max_depth=-1)
+
+
+def _heap_node_by_node(key, depth):
+    # A subtree's merge uniforms derived one node at a time: node i splits
+    # into (first half, second half, merge) keys; heap entry i is its merge
+    # uniform, and its halves are nodes 2i + 1 and 2i + 2.
+    heap, level = [], [key]
+    for _ in range(depth):
+        children = [split_key(node, 3) for node in level]
+        heap += [uniform(merge) for _, _, merge in children]
+        level = [half for first, second, _ in children for half in (first, second)]
+    return heap
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_merge_heap_of_a_key_block_equals_the_node_by_node_derivation(depth):
+    keys = [fold_in(make_key(depth), i) for i in range(5)]
+    heaps = nuts._merge_heap(key_rows(keys), depth)
+    assert heaps.shape == (5, 2**depth - 1)
+    for key, heap in zip(keys, heaps.tolist()):
+        assert heap == _heap_node_by_node(key, depth)
 
 
 def test_nuts_standard_normal_moments():
