@@ -21,12 +21,16 @@ kernels step one state or an ensemble with one body, :func:`evaluate`
 being the one place that tells the two shapes apart for the target.
 
 A target callable may carry a *row form* as its ``rows`` attribute:
-``logdensity.rows(positions, with_gradient)`` evaluates every row of an
-``(n, dim)`` block in a few array calls and leaves the results in a cache
-the target's per-position callables read (:func:`fused_callables` builds
-such a pair).  :func:`evaluate_rows` calls it once per block and then still
-calls every per-position callable once per row, so a wrapper around them
-(a counter, a penalty, a tempered closure) sees every position.
+``logdensity.rows(positions, with_gradient)`` returns the densities and
+gradients (or ``None``) of every row of an ``(n, dim)`` block in a few array
+calls, as fresh arrays the caller may change, and ``rows.callables`` names
+the per-position pair it belongs to (:func:`fused_callables` builds such a
+pair).  The row form's own pair is evaluated a block at a time, and any
+other callable is still called once per row: :func:`evaluate` and
+:func:`evaluate_rows` return the row form's arrays when they are given
+exactly that pair, and otherwise call every callable they were given once
+per position, so a wrapper around the pair (a counter, a penalty, a tempered
+closure) sees every position.
 """
 
 from __future__ import annotations
@@ -73,9 +77,10 @@ class Target:
     gradient
         Maps a position to the gradient array of shape ``(dim,)``.
 
-    ``logdensity`` may carry a row form as its ``rows`` attribute, which
-    :func:`evaluate_rows` calls before its row loop (see
-    :func:`fused_callables`); the constructor is the same either way.
+    ``logdensity`` may carry a row form as its ``rows`` attribute (see
+    :func:`fused_callables`); when ``logdensity`` and ``gradient`` are the
+    pair it belongs to, :func:`evaluate_rows` evaluates a block through it
+    alone.  The constructor is the same either way.
     """
 
     dim: int
@@ -146,15 +151,20 @@ def evaluate(position: np.ndarray, logdensity: Callable, gradient: Optional[Call
     """Log density and gradient (``None`` without ``gradient``) at ``position``.
 
     One position gives a Python ``float`` and a ``float64`` array; an
-    ``(n, dim)`` matrix gives :func:`evaluate_rows`.  A row form, when
-    ``logdensity`` has one, sees one position as a block of one, so it
-    evaluates the gradient only when ``gradient`` is given.
+    ``(n, dim)`` matrix gives :func:`evaluate_rows`.  To a row form one
+    position is a block of one: given the row form's own pair, its result
+    for that block is returned, and given other callables, the row form
+    first fills its cache, as in :func:`evaluate_rows`.  Either way the
+    gradient is evaluated only when ``gradient`` is given.
     """
     if position.ndim == 2:
         return evaluate_rows(position, logdensity, gradient)
     rows = getattr(logdensity, "rows", None)
     if rows is not None:
-        rows(position[None], gradient is not None)
+        if _owns(rows, logdensity, gradient):
+            densities, gradients = rows(position[None], gradient is not None)
+            return float(densities[0]), None if gradients is None else gradients[0]
+        getattr(rows, "fill", rows)(position[None], gradient is not None)
     if gradient is None:
         return float(logdensity(position)), None
     return float(logdensity(position)), np.asarray(gradient(position), dtype=float)
@@ -167,23 +177,23 @@ def evaluate_rows(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Log densities ``(n,)`` and gradients ``(n, dim)`` of the rows of ``positions``.
 
-    Target callables take one position, so this is a loop over rows, the
-    only one on the ensemble path.  When ``logdensity`` carries a row form
-    (its ``rows`` attribute), it is first called once on the whole block,
-    with the gradients asked for iff ``gradient`` is given; the loop then
-    reads each row's results from the target's cache.  Either way every
-    callable is called once per row, the density just before the gradient,
-    so a wrapper that counts or changes evaluations still sees each one,
-    and a wrapper that moves the position only misses the cache.  Without
-    ``gradient`` the second result is ``None``.
-
-    The fused arrays are not used directly yet: a caller that counts
-    evaluations by wrapping the per-position callables would then count
-    none.
+    When ``logdensity`` carries a row form (its ``rows`` attribute) whose
+    ``callables`` are exactly ``logdensity`` and ``gradient`` (or whose
+    density is ``logdensity``, without ``gradient``), its arrays are the
+    result: one call for the block, no loop.  Any other callables are called
+    once per row, the density just before the gradient, so a wrapper that
+    counts or changes evaluations still sees each one, and a wrapper that
+    moves the position only misses the cache.  A row form they carry (a
+    wrapper copies it) first fills its cache for the block, through its
+    ``fill`` when it has one and by a call otherwise, with the gradients
+    asked for iff ``gradient`` is given.  Without ``gradient`` the second
+    result is ``None``.
     """
     rows = getattr(logdensity, "rows", None)
     if rows is not None:
-        rows(positions, gradient is not None)
+        if _owns(rows, logdensity, gradient):
+            return rows(positions, gradient is not None)
+        getattr(rows, "fill", rows)(positions, gradient is not None)
     densities = np.empty(positions.shape[0])
     gradients = None if gradient is None else np.empty(positions.shape)
     for i, position in enumerate(positions):
@@ -191,6 +201,24 @@ def evaluate_rows(
         if gradient is not None:
             gradients[i] = gradient(position)
     return densities, gradients
+
+
+def _owns(rows: Optional[Callable], logdensity: Callable, gradient: Optional[Callable]) -> bool:
+    """Whether the row form ``rows`` (``None``: none) is that of ``logdensity`` and ``gradient``.
+
+    Without ``gradient`` only ``logdensity`` is checked.  Identity, not
+    equality: a wrapper carries the row form it copied, but is not the pair
+    the row form names.
+    """
+    pair = getattr(rows, "callables", None)
+    return pair is not None and pair[0] is logdensity and (gradient is None or pair[1] is gradient)
+
+
+def _row_form(rows: Callable, logdensity: Callable, gradient: Callable) -> tuple[Callable, ...]:
+    """Attach ``rows`` to ``logdensity`` as the row form of the pair ``(logdensity, gradient)``."""
+    rows.callables = (logdensity, gradient)
+    logdensity.rows = rows
+    return logdensity, gradient
 
 
 def _row_dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -215,18 +243,22 @@ def fused_callables(
     ``body(positions, with_gradient)`` maps a C-contiguous ``(n, dim)``
     block to its densities ``(n,)`` and, with ``with_gradient``, its
     gradients ``(n, dim)`` (else ``None``).  The returned ``logdensity``
-    carries ``rows(positions, with_gradient)``, which evaluates a block and
-    keeps its results in a cache keyed by each row's bytes; the cache holds
-    that one block.  Both callables read a position's results from it, and
-    on a miss evaluate the position as a block of one, with its gradient,
-    which then replaces the cache.  So a row has one code path, and a
-    density asked for just before the gradient at the same position shares
-    the work.  The cache is swapped whole, never edited, so threads may
-    share the callables; the gradient is returned as a fresh array.
+    carries ``rows(positions, with_gradient)``, the body's arrays, as the
+    pair's row form.  The per-position callables read a position's results
+    from a cache keyed by each row's bytes, which ``rows.fill(positions,
+    with_gradient)`` fills with one block, and on a miss evaluate the
+    position as a block of one, with its gradient, which then replaces the
+    cache.  So a row has one code path, and a density asked for just before
+    the gradient at the same position shares the work.  The cache is
+    swapped whole, never edited, so threads may share the callables; the
+    gradient is returned as a fresh array.
     """
     cache: dict = {}
 
-    def rows(positions: np.ndarray, with_gradient: bool) -> None:
+    def rows(positions: np.ndarray, with_gradient: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        return body(np.ascontiguousarray(positions, dtype=float), with_gradient)
+
+    def fill(positions: np.ndarray, with_gradient: bool) -> None:
         nonlocal cache
         positions = np.ascontiguousarray(positions, dtype=float)
         densities, gradients = body(positions, with_gradient)
@@ -251,8 +283,8 @@ def fused_callables(
     def gradient(x: np.ndarray) -> np.ndarray:
         return lookup(x, True)[1].copy()
 
-    logdensity.rows = rows
-    return logdensity, gradient
+    rows.fill = fill
+    return _row_form(rows, logdensity, gradient)
 
 
 def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple]) -> SamplingAlgorithm:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..core import SamplingAlgorithm, Target, evaluate_rows
+from ..core import SamplingAlgorithm, Target, _owns, _row_form, evaluate_rows
 from ..rng import RngKey, fold_in, fold_in_rows, key_rows, split_key
 from .resampling import _logsumexp, ess, resample
 
@@ -73,10 +73,15 @@ class TemperedTarget:
     def at_temperature(self, lmbda: float) -> Target:
         """The tempered density as an ordinary MCMC target.
 
-        When ``log_likelihood`` carries a row form (its ``rows`` attribute,
-        see :func:`mcbricks.core.fused_callables`), the density hands it on,
-        so :func:`~mcbricks.core.evaluate_rows` fills the likelihood's cache
-        for a whole block; the prior is still evaluated row by row.
+        When the prior and the likelihood each carry a row form of their own
+        (see :func:`mcbricks.core.fused_callables`), the target gets a row
+        form of its own too: the prior's rows plus ``lmbda`` times the
+        likelihood's, the arithmetic of the per-position closures, so
+        :func:`~mcbricks.core.evaluate_rows` evaluates a block in one call.
+        Otherwise, when ``log_likelihood`` carries a row form (a wrapper
+        around the likelihood copies it), the density hands it on, so the
+        likelihood's cache is filled for a whole block and the closures are
+        called once per row.
         """
         if not 0.0 <= lmbda <= 1.0:
             raise ValueError("inverse temperature must lie in [0, 1]")
@@ -89,9 +94,35 @@ class TemperedTarget:
                 self.grad_likelihood(x), dtype=float
             )
 
-        rows = getattr(self.log_likelihood, "rows", None)
-        if rows is not None:
-            logdensity.rows = rows
+        prior_rows = getattr(self.log_prior, "rows", None)
+        likelihood_rows = getattr(self.log_likelihood, "rows", None)
+        if _owns(prior_rows, self.log_prior, self.grad_prior) and _owns(
+            likelihood_rows, self.log_likelihood, self.grad_likelihood
+        ):
+
+            def rows(positions: np.ndarray, with_gradient: bool):
+                prior_densities, prior_gradients = prior_rows(positions, with_gradient)
+                densities, gradients = likelihood_rows(positions, with_gradient)
+                densities = prior_densities + lmbda * densities
+                if with_gradient:
+                    gradients = prior_gradients + lmbda * gradients
+                # Two NaNs can meet in these adds, and which one an add
+                # returns depends on where the element falls in NumPy's loop,
+                # so rows holding a NaN are redone through the per-position
+                # closures.
+                redo = np.isnan(densities)
+                if with_gradient:
+                    redo |= np.isnan(gradients).any(axis=1)
+                for i in np.flatnonzero(redo):
+                    densities[i] = logdensity(positions[i])
+                    if with_gradient:
+                        gradients[i] = gradient(positions[i])
+                return densities, gradients
+
+            rows.fill = getattr(likelihood_rows, "fill", likelihood_rows)
+            _row_form(rows, logdensity, gradient)
+        elif likelihood_rows is not None:
+            logdensity.rows = likelihood_rows
         return Target(self.dim, logdensity, gradient)
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Target, _row_dot, _row_matvec, fused_callables
+from .core import Target, _row_dot, _row_form, _row_matvec, fused_callables
 from .rng import RngKey, normal_matrix, normal_vector, split_key, uniform_vector
 from .smc.tempering import TemperedTarget
 
@@ -86,6 +86,27 @@ def _log_std_normal(x: np.ndarray) -> float:
 
 def _grad_std_normal(x: np.ndarray) -> np.ndarray:
     return -x
+
+
+def _prior_callables() -> tuple[Callable, Callable]:
+    """The tempered targets' N(0, I) prior, with a row form of its own.
+
+    Per position it is :func:`_log_std_normal` and :func:`_grad_std_normal`;
+    its rows are bit for bit the same.  ``std_normal`` keeps the plain pair,
+    whose single positions need no block of one.
+    """
+
+    def log_prior(x: np.ndarray) -> float:
+        return _log_std_normal(x)
+
+    def grad_prior(x: np.ndarray) -> np.ndarray:
+        return _grad_std_normal(x)
+
+    def rows(positions: np.ndarray, with_gradient: bool):
+        gradients = np.negative(positions) if with_gradient else None
+        return -0.5 * _row_dot(positions, positions), gradients
+
+    return _row_form(rows, log_prior, grad_prior)
 
 
 def std_normal(dim: int) -> BuiltinTarget:
@@ -313,7 +334,7 @@ def _conjugate_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dic
         return -0.5 * quad - constant, gradients
 
     loglik, grad_loglik = fused_callables(body)
-    tempered = TemperedTarget(dim, _log_std_normal, _grad_std_normal, loglik, grad_loglik)
+    tempered = TemperedTarget(dim, *_prior_callables(), loglik, grad_loglik)
     return tempered, {"observations": observations}
 
 
@@ -326,9 +347,7 @@ def _logistic_builtin(dim: int, data_key: Optional[RngKey]) -> BuiltinTarget:
 def _logistic_tempered(dim: int, data_key: RngKey) -> tuple[TemperedTarget, dict]:
     data = make_logistic_data(data_key)
     loglik, grad_loglik = _logistic_callables(data, with_prior=False)
-    tempered = TemperedTarget(
-        LOGISTIC_NUM_FEATURES, _log_std_normal, _grad_std_normal, loglik, grad_loglik
-    )
+    tempered = TemperedTarget(LOGISTIC_NUM_FEATURES, *_prior_callables(), loglik, grad_loglik)
     return tempered, {"data": data}
 
 

@@ -9,8 +9,9 @@ accumulator inside the variational state.
 
 The draws of a step come out as one ``(num_samples, dim)`` matrix, and
 :func:`~mcbricks.core.evaluate_rows` gives their log densities and
-gradients, the same per-row target loop the SMC ensemble uses; this module
-calls no target callable itself.
+gradients, as it does for the SMC ensemble: a target whose callables are its
+row form's own pair is evaluated a block at a time, and any other callable
+is still called once per draw.  This module calls no target callable itself.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ holds for a kernel's draw atom: the move under row i of its draws is the
 move under key i.
 """
 
+import dataclasses
+import functools
 import math
 import struct
 import warnings
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcbricks.core import GradientState, Target, evaluate_rows, init
+from mcbricks.core import GradientState, Target, evaluate, evaluate_rows, init
 from mcbricks.integrator import dense_metric, diagonal_metric, identity_metric, sample_momentum
 from mcbricks.mcmc import ghmc, hmc, mala, rwm
 from mcbricks.rng import (
@@ -34,8 +36,15 @@ from mcbricks.rng import (
     uniform_rows,
 )
 from mcbricks.smc.resampling import ess, resample
-from mcbricks.smc.tempering import adaptive_next_lambda, init_ensemble, reweight, smc_step
-from mcbricks.targets import make_tempered, std_normal
+from mcbricks.smc.tempering import (
+    adaptive_next_lambda,
+    init_ensemble,
+    reweight,
+    run_tempered_smc,
+    smc_step,
+)
+from mcbricks.targets import make_builtin, make_tempered, std_normal
+from mcbricks.vi import adam, meanfield_vi
 
 _WORD = st.integers(0, 2**64 - 1)
 _KEY = st.builds(RngKey, _WORD, _WORD)
@@ -149,6 +158,47 @@ def test_evaluate_rows_calls_the_row_form_once_per_block_before_the_loop():
     calls.clear()
     evaluate_rows(positions, logdensity)
     assert calls[0][2] is False and [kind for kind, *_ in calls[1:]] == ["density"] * 3
+
+
+def test_the_row_forms_own_pair_is_evaluated_a_block_at_a_time_and_a_wrapper_row_by_row():
+    calls = []
+
+    def logdensity(x):
+        calls.append("density")
+        return -0.5 * float(x @ x)
+
+    def gradient(x):
+        calls.append("gradient")
+        return -x
+
+    def rows(block, with_gradient):
+        calls.append(("rows", with_gradient))
+        return -0.5 * np.einsum("ij,ij->i", block, block), -block if with_gradient else None
+
+    def fill(block, with_gradient):
+        calls.append(("fill", with_gradient))
+
+    rows.callables, rows.fill, logdensity.rows = (logdensity, gradient), fill, rows
+    positions = np.arange(6.0).reshape(3, 2)
+    densities, gradients = evaluate_rows(positions, logdensity, gradient)
+    assert calls == [("rows", True)]
+    np.testing.assert_array_equal(densities, [-0.5, -6.5, -20.5])
+    np.testing.assert_array_equal(gradients, -positions)
+    calls.clear()
+    assert evaluate_rows(positions, logdensity)[1] is None and calls == [("rows", False)]
+    calls.clear()
+    assert evaluate(positions[1], logdensity, gradient)[0] == -6.5 and calls == [("rows", True)]
+
+    # A wrapper carries the row form it copies, but is not the pair it names.
+    wrapped = functools.wraps(logdensity)(lambda x: logdensity(x))
+    assert wrapped.rows is rows
+    for other, other_gradient in ((wrapped, gradient), (logdensity, lambda x: gradient(x))):
+        calls.clear()
+        evaluate_rows(positions, other, other_gradient)
+        assert calls == [("fill", True)] + ["density", "gradient"] * 3
+        calls.clear()
+        evaluate(positions[1], other, other_gradient)
+        assert calls == [("fill", True), "density", "gradient"]
 
 
 # ------------------------------------------------------------- kernels
@@ -394,3 +444,57 @@ def test_ensemble_state_rows_are_what_init_gives_each_row():
     assert isinstance(ensemble, GradientState)
     for i in range(7):
         _assert_same_state(_row(ensemble, i), init(positions[i].copy(), target))
+
+
+# ------------------------------------------------------------- wrapped callables
+
+
+def _pass_through(fn):
+    @functools.wraps(fn)
+    def passed(x):
+        return fn(x)
+
+    return passed
+
+
+def test_runs_through_wrapped_callables_have_the_bits_of_the_block_path():
+    """Wrappers send every row through the per-row loop; a run must not see it.
+
+    A run whose target callables are each wrapped, as an evaluation counter
+    wraps them, takes the per-row loop where the plain run evaluates whole
+    blocks through the row forms.  Both runs must agree in every bit.
+    """
+    key_data, key_run = split_key(make_key(21), 2)
+    tempered, _ = make_tempered("logistic_synth", 5, key_data)
+    fields = ("log_prior", "grad_prior", "log_likelihood", "grad_likelihood")
+    wrapped = dataclasses.replace(
+        tempered, **{field: _pass_through(getattr(tempered, field)) for field in fields}
+    )
+
+    def smc(tempered_target):
+        return run_tempered_smc(
+            key_run, tempered_target, lambda key, n: normal_matrix(key, n, 5), 50,
+            lambda target: hmc.as_algorithm(target, step_size=0.1, num_integration_steps=5),
+            num_mutation_steps=2,
+        )
+
+    plain, loop = smc(tempered), smc(wrapped)
+    assert plain.ensemble.particles.tobytes() == loop.ensemble.particles.tobytes()
+    assert _bits(plain.log_z) == _bits(loop.log_z)
+    assert np.array(plain.ladder).tobytes() == np.array(loop.ladder).tobytes()
+
+    target = make_builtin("logistic_synth", 5, key_data).target
+    wrapped_target = Target(5, _pass_through(target.logdensity), _pass_through(target.gradient))
+
+    def vi(vi_target):
+        algorithm = meanfield_vi(vi_target, adam(0.05), num_samples=16)
+        state, elbos = algorithm.init(np.zeros(5)), []
+        for t in range(100):
+            state, info = algorithm.step(fold_in(key_run, t), state)
+            elbos.append(info.elbo)
+        return np.array(elbos), state
+
+    (plain_elbos, plain_state), (loop_elbos, loop_state) = vi(target), vi(wrapped_target)
+    assert plain_elbos.tobytes() == loop_elbos.tobytes()
+    assert plain_state.mu.tobytes() == loop_state.mu.tobytes()
+    assert plain_state.log_sigma.tobytes() == loop_state.log_sigma.tobytes()

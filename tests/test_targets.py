@@ -8,9 +8,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mcbricks.core import Target, evaluate_rows, gradient_discrepancy
+from mcbricks.core import Target, evaluate, evaluate_rows, gradient_discrepancy
 from mcbricks.rng import make_key, normal_matrix
 from mcbricks.targets import (
     CONJUGATE_NUM_OBSERVATIONS,
@@ -456,9 +456,9 @@ _ROW_SCALES = (1e-3, 1.0, 30.0, 1e3, 1e200)
 
 
 @st.composite
-def _blocks(draw, dim=LOGISTIC_NUM_FEATURES):
-    """1-300 rows at scales 1e-3 to 1e200, with some of the special rows among them."""
-    num = draw(st.integers(1, 300))
+def _blocks(draw, dim=LOGISTIC_NUM_FEATURES, max_rows=300):
+    """1 to ``max_rows`` rows at scales 1e-3 to 1e200, with some of the special rows among them."""
+    num = draw(st.integers(1, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     block = rng.normal(size=(num, dim)) * rng.choice(_ROW_SCALES, size=(num, 1))
     for index in draw(st.lists(st.integers(0, len(_SPECIAL_ROWS) - 1), max_size=10)):
@@ -608,12 +608,61 @@ def test_wrappers_that_change_the_result_or_the_position_are_not_bypassed():
     assert _bits(gradients) == _bits([ref.gradient(x) for x in block])
 
 
-def test_a_tempered_target_hands_on_only_a_likelihood_row_form():
+def _pass_through(fn):
+    """A wrapper that changes nothing, so it sends every row through the per-row loop."""
+
+    @functools.wraps(fn)
+    def passed(x):
+        return fn(x)
+
+    return passed
+
+
+def test_a_tempered_target_has_its_own_row_form_only_when_its_parts_have_theirs():
     tempered, _ = make_tempered("logistic_synth", LOGISTIC_NUM_FEATURES, make_key(2))
     at = tempered.at_temperature(0.5)
-    assert at.logdensity.rows is tempered.log_likelihood.rows
+    own = at.logdensity.rows.callables
+    assert own[0] is at.logdensity and own[1] is at.gradient
+    wrapped = dataclasses.replace(tempered, log_likelihood=_pass_through(tempered.log_likelihood))
+    assert wrapped.at_temperature(0.5).logdensity.rows is tempered.log_likelihood.rows
     plain = TemperedTarget(2, lambda x: 0.0, lambda x: 0 * x, lambda x: 0.0, lambda x: 0 * x)
     assert not hasattr(plain.at_temperature(0.5).logdensity, "rows")
+
+
+def _row_form_targets(key, lmbda):
+    """Targets with row forms of their own: logistic_synth, the tempered ones, their likelihoods."""
+    logistic, _ = make_tempered("logistic_synth", LOGISTIC_NUM_FEATURES, key)
+    conjugate, _ = make_tempered("gauss_conjugate", LOGISTIC_NUM_FEATURES, key)
+    yield make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, key).target
+    for tempered in (logistic, conjugate):
+        yield tempered.at_temperature(lmbda)
+        yield Target(tempered.dim, tempered.log_likelihood, tempered.grad_likelihood)
+
+
+def _nan_row_last(num):
+    block = np.zeros((num, LOGISTIC_NUM_FEATURES))
+    block[-1, 0] = np.nan
+    return block
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_blocks(max_rows=40), lmbda=st.sampled_from([0.0, 0.37, 1.0]),
+       with_gradient=st.booleans())
+# A NaN row in the scalar tail of NumPy's add loop: without the redo of NaN
+# rows, the tempered gradients there take the other NaN.
+@example(block=_nan_row_last(3), lmbda=0.37, with_gradient=True)
+@example(block=_nan_row_last(17), lmbda=0.0, with_gradient=True)
+def test_the_block_path_has_the_bits_of_the_per_row_loop(block, lmbda, with_gradient):
+    with np.errstate(all="ignore"):
+        for target in _row_form_targets(make_key(5), lmbda):
+            own = (target.logdensity, target.gradient if with_gradient else None)
+            wrapped = [None if fn is None else _pass_through(fn) for fn in own]
+            assert target.logdensity.rows.callables[0] is target.logdensity
+            for got, want in zip(evaluate_rows(block, *own), evaluate_rows(block, *wrapped)):
+                assert _bits(got) == _bits(want)
+            for x in block:
+                for got, want in zip(evaluate(x, *own), evaluate(x, *wrapped)):
+                    assert _bits(got) == _bits(want)
 
 
 def test_a_gradient_changed_in_place_by_its_caller_leaves_the_cache_alone():
