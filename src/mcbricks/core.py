@@ -25,12 +25,12 @@ A target callable may carry a *row form* as its ``rows`` attribute:
 gradients (or ``None``) of every row of an ``(n, dim)`` block in a few array
 calls, as fresh arrays the caller may change, and ``rows.callables`` names
 the per-position pair it belongs to (:func:`fused_callables` builds such a
-pair).  The row form's own pair is evaluated a block at a time, and any
-other callable is still called once per row: :func:`evaluate` and
-:func:`evaluate_rows` return the row form's arrays when they are given
-exactly that pair, and otherwise call every callable they were given once
-per position, so a wrapper around the pair (a counter, a penalty, a tempered
-closure) sees every position.
+pair).  A target is evaluated one of two ways: its row form's own pair
+through the row form, a block at a time, and any other callable once per
+position.  :func:`evaluate` and :func:`evaluate_rows` return the row form's
+arrays when they are given exactly that pair, and otherwise call every
+callable they were given once per position, so a wrapper around the pair (a
+counter, a penalty, a tempered closure) sees every position.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class Target:
 
     ``logdensity`` may carry a row form as its ``rows`` attribute (see
     :func:`fused_callables`); when ``logdensity`` and ``gradient`` are the
-    pair it belongs to, :func:`evaluate_rows` evaluates a block through it
-    alone.  The constructor is the same either way.
+    pair it belongs to, :func:`evaluate` and :func:`evaluate_rows` evaluate
+    through it.  The constructor is the same either way.
     """
 
     dim: int
@@ -151,20 +151,17 @@ def evaluate(position: np.ndarray, logdensity: Callable, gradient: Optional[Call
     """Log density and gradient (``None`` without ``gradient``) at ``position``.
 
     One position gives a Python ``float`` and a ``float64`` array; an
-    ``(n, dim)`` matrix gives :func:`evaluate_rows`.  To a row form one
-    position is a block of one: given the row form's own pair, its result
-    for that block is returned, and given other callables, the row form
-    first fills its cache, as in :func:`evaluate_rows`.  Either way the
-    gradient is evaluated only when ``gradient`` is given.
+    ``(n, dim)`` matrix gives :func:`evaluate_rows`.  Given a row form's own
+    pair, one position is evaluated as a block of one through the row form;
+    any other callables are called at the position.  Either way the gradient
+    is evaluated only when ``gradient`` is given.
     """
     if position.ndim == 2:
         return evaluate_rows(position, logdensity, gradient)
     rows = getattr(logdensity, "rows", None)
-    if rows is not None:
-        if _owns(rows, logdensity, gradient):
-            densities, gradients = rows(position[None], gradient is not None)
-            return float(densities[0]), None if gradients is None else gradients[0]
-        getattr(rows, "fill", rows)(position[None], gradient is not None)
+    if rows is not None and _owns(rows, logdensity, gradient):
+        densities, gradients = rows(position[None], gradient is not None)
+        return float(densities[0]), None if gradients is None else gradients[0]
     if gradient is None:
         return float(logdensity(position)), None
     return float(logdensity(position)), np.asarray(gradient(position), dtype=float)
@@ -182,18 +179,13 @@ def evaluate_rows(
     density is ``logdensity``, without ``gradient``), its arrays are the
     result: one call for the block, no loop.  Any other callables are called
     once per row, the density just before the gradient, so a wrapper that
-    counts or changes evaluations still sees each one, and a wrapper that
-    moves the position only misses the cache.  A row form they carry (a
-    wrapper copies it) first fills its cache for the block, through its
-    ``fill`` when it has one and by a call otherwise, with the gradients
-    asked for iff ``gradient`` is given.  Without ``gradient`` the second
+    counts or changes evaluations still sees each one; a row form they carry
+    (a wrapper copies it) is not called.  Without ``gradient`` the second
     result is ``None``.
     """
     rows = getattr(logdensity, "rows", None)
-    if rows is not None:
-        if _owns(rows, logdensity, gradient):
-            return rows(positions, gradient is not None)
-        getattr(rows, "fill", rows)(positions, gradient is not None)
+    if rows is not None and _owns(rows, logdensity, gradient):
+        return rows(positions, gradient is not None)
     densities = np.empty(positions.shape[0])
     gradients = None if gradient is None else np.empty(positions.shape)
     for i, position in enumerate(positions):
@@ -244,46 +236,20 @@ def fused_callables(
     block to its densities ``(n,)`` and, with ``with_gradient``, its
     gradients ``(n, dim)`` (else ``None``).  The returned ``logdensity``
     carries ``rows(positions, with_gradient)``, the body's arrays, as the
-    pair's row form.  The per-position callables read a position's results
-    from a cache keyed by each row's bytes, which ``rows.fill(positions,
-    with_gradient)`` fills with one block, and on a miss evaluate the
-    position as a block of one, with its gradient, which then replaces the
-    cache.  So a row has one code path, and a density asked for just before
-    the gradient at the same position shares the work.  The cache is
-    swapped whole, never edited, so threads may share the callables; the
-    gradient is returned as a fresh array.
+    pair's row form.  The per-position callables evaluate a position as a
+    block of one, so a row has one code path: ``logdensity`` asks the body
+    for no gradient, and ``gradient`` returns a fresh array.
     """
-    cache: dict = {}
 
     def rows(positions: np.ndarray, with_gradient: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
         return body(np.ascontiguousarray(positions, dtype=float), with_gradient)
 
-    def fill(positions: np.ndarray, with_gradient: bool) -> None:
-        nonlocal cache
-        positions = np.ascontiguousarray(positions, dtype=float)
-        densities, gradients = body(positions, with_gradient)
-        keys = [row.tobytes() for row in positions]
-        found = [None] * len(keys) if gradients is None else list(gradients)
-        cache = dict(zip(keys, zip(densities.tolist(), found)))
-
-    def lookup(x: np.ndarray, with_gradient: bool) -> tuple:
-        nonlocal cache
-        x = np.ascontiguousarray(x, dtype=float)
-        key = x.tobytes()
-        entry = cache.get(key)
-        if entry is None or (with_gradient and entry[1] is None):
-            densities, gradients = body(x[None], True)
-            entry = (float(densities[0]), gradients[0])
-            cache = {key: entry}
-        return entry
-
     def logdensity(x: np.ndarray) -> float:
-        return lookup(x, False)[0]
+        return float(rows(x[None], False)[0][0])
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        return lookup(x, True)[1].copy()
+        return rows(x[None], True)[1][0]
 
-    rows.fill = fill
     return _row_form(rows, logdensity, gradient)
 
 

@@ -238,8 +238,9 @@ def leapfrog(
 
     Costs one fresh gradient evaluation; the incoming state's cached
     gradient supplies the first half kick.  An ensemble state moves every
-    row, evaluating the target row by row through
-    :func:`~mcbricks.core.evaluate`.  Non-finite values propagate to
+    row, evaluating the target through :func:`~mcbricks.core.evaluate`, a
+    block at a time through a row form's own pair and row by row
+    otherwise.  Non-finite values propagate to
     the returned state and are absorbed by the acceptance atoms downstream,
     so overflow here is expected behaviour, not worth a warning.  The caller
     owns ``np.errstate``: the drivers (``run_chain``, the SMC mutation loop,

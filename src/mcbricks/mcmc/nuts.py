@@ -34,8 +34,8 @@ A leaf is one leapfrog step, written out in the loop: a state's half kick
 is computed once, for its kinetic energy and for every U-turn test it
 takes part in.  The numbers are bit for bit those of
 :func:`~mcbricks.integrator.leapfrog` followed by
-:func:`~mcbricks.integrator.total_energy`, with one ``target.logdensity``
-and then one ``target.gradient`` call per leaf.
+:func:`~mcbricks.integrator.total_energy`, with one
+:func:`~mcbricks.core.evaluate` of the target per leaf.
 
 Trees vary in size, but every number a tree could use is fixed by the step
 key before the tree is built.  The kernel's draw atom (``kernel.draw``)
@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ..core import GradientState, SamplingAlgorithm, Target, bind, init
+from ..core import GradientState, SamplingAlgorithm, Target, bind, evaluate, init
 from ..integrator import (
     Metric,
     _kinetic_energy,
@@ -191,8 +191,7 @@ def _subtree(
     for k in range(1 << depth):
         p_half = momentum + kick
         position = position + eps * (inverse_mass @ p_half if dense else inverse_mass * p_half)
-        logdensity = float(target.logdensity(position))
-        gradient = np.asarray(target.gradient(position), dtype=float)
+        logdensity, gradient = evaluate(position, target.logdensity, target.gradient)
         kick = half * gradient
         momentum = p_half + kick
         # ``integrator._kinetic_energy``, bit for bit, keeping its velocity.

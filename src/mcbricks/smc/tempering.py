@@ -78,10 +78,8 @@ class TemperedTarget:
         form of its own too: the prior's rows plus ``lmbda`` times the
         likelihood's, the arithmetic of the per-position closures, so
         :func:`~mcbricks.core.evaluate_rows` evaluates a block in one call.
-        Otherwise, when ``log_likelihood`` carries a row form (a wrapper
-        around the likelihood copies it), the density hands it on, so the
-        likelihood's cache is filled for a whole block and the closures are
-        called once per row.
+        Otherwise the target has no row form, and its closures are called
+        once per position.
         """
         if not 0.0 <= lmbda <= 1.0:
             raise ValueError("inverse temperature must lie in [0, 1]")
@@ -119,10 +117,7 @@ class TemperedTarget:
                         gradients[i] = gradient(positions[i])
                 return densities, gradients
 
-            rows.fill = getattr(likelihood_rows, "fill", likelihood_rows)
             _row_form(rows, logdensity, gradient)
-        elif likelihood_rows is not None:
-            logdensity.rows = likelihood_rows
         return Target(self.dim, logdensity, gradient)
 
 

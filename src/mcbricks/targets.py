@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Target, _row_dot, _row_form, _row_matvec, fused_callables
+from .core import Target, _row_dot, _row_matvec, fused_callables
 from .rng import RngKey, normal_matrix, normal_vector, split_key, uniform_vector
 from .smc.tempering import TemperedTarget
 
@@ -91,22 +91,16 @@ def _grad_std_normal(x: np.ndarray) -> np.ndarray:
 def _prior_callables() -> tuple[Callable, Callable]:
     """The tempered targets' N(0, I) prior, with a row form of its own.
 
-    Per position it is :func:`_log_std_normal` and :func:`_grad_std_normal`;
-    its rows are bit for bit the same.  ``std_normal`` keeps the plain pair,
-    whose single positions need no block of one.
+    Every row is bit for bit :func:`_log_std_normal` and
+    :func:`_grad_std_normal`.  ``std_normal`` keeps that plain pair, whose
+    single positions need no block of one.
     """
-
-    def log_prior(x: np.ndarray) -> float:
-        return _log_std_normal(x)
-
-    def grad_prior(x: np.ndarray) -> np.ndarray:
-        return _grad_std_normal(x)
-
-    def rows(positions: np.ndarray, with_gradient: bool):
-        gradients = np.negative(positions) if with_gradient else None
-        return -0.5 * _row_dot(positions, positions), gradients
-
-    return _row_form(rows, log_prior, grad_prior)
+    return fused_callables(
+        lambda positions, with_gradient: (
+            -0.5 * _row_dot(positions, positions),
+            np.negative(positions) if with_gradient else None,
+        )
+    )
 
 
 def std_normal(dim: int) -> BuiltinTarget:

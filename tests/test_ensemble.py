@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcbricks.core import GradientState, Target, evaluate, evaluate_rows, init
+from mcbricks.core import (
+    GradientState, Target, evaluate, evaluate_rows, fused_callables, init, run_chain,
+)
 from mcbricks.integrator import dense_metric, diagonal_metric, identity_metric, sample_momentum
-from mcbricks.mcmc import ghmc, hmc, mala, rwm
+from mcbricks.mcmc import ghmc, hmc, mala, nuts, rwm
 from mcbricks.rng import (
     RngKey,
     fold_in,
@@ -138,7 +140,7 @@ def test_evaluate_rows_asks_each_row_for_density_then_gradient():
     assert none is None and only.tolist() == densities.tolist()
 
 
-def test_evaluate_rows_calls_the_row_form_once_per_block_before_the_loop():
+def test_a_row_form_that_does_not_own_the_pair_is_never_called():
     calls = []
 
     def logdensity(x):
@@ -149,15 +151,25 @@ def test_evaluate_rows_calls_the_row_form_once_per_block_before_the_loop():
         calls.append(("gradient", float(x[0])))
         return -x
 
-    logdensity.rows = lambda block, with_gradient: calls.append(("rows", block, with_gradient))
+    def rows(block, with_gradient):
+        calls.append(("rows", with_gradient))
+
     positions = np.arange(6.0).reshape(3, 2)
-    densities, _ = evaluate_rows(positions, logdensity, gradient)
-    assert calls[0][0] == "rows" and calls[0][1] is positions and calls[0][2] is True
-    assert calls[1:] == [(kind, row) for row in (0.0, 2.0, 4.0) for kind in ("density", "gradient")]
-    np.testing.assert_array_equal(densities, [-0.5, -6.5, -20.5])
-    calls.clear()
-    evaluate_rows(positions, logdensity)
-    assert calls[0][2] is False and [kind for kind, *_ in calls[1:]] == ["density"] * 3
+    logdensity.rows = rows
+    # A row form naming no pair, then one naming another pair.
+    for owner in (None, (lambda x: 0.0, lambda x: x)):
+        if owner is not None:
+            rows.callables = owner
+        calls.clear()
+        densities, _ = evaluate_rows(positions, logdensity, gradient)
+        assert calls == [(kind, row) for row in (0.0, 2.0, 4.0) for kind in ("density", "gradient")]
+        np.testing.assert_array_equal(densities, [-0.5, -6.5, -20.5])
+        calls.clear()
+        evaluate_rows(positions, logdensity)
+        assert calls == [("density", row) for row in (0.0, 2.0, 4.0)]
+        calls.clear()
+        evaluate(positions[1], logdensity, gradient)
+        assert calls == [("density", 2.0), ("gradient", 2.0)]
 
 
 def test_the_row_forms_own_pair_is_evaluated_a_block_at_a_time_and_a_wrapper_row_by_row():
@@ -175,10 +187,7 @@ def test_the_row_forms_own_pair_is_evaluated_a_block_at_a_time_and_a_wrapper_row
         calls.append(("rows", with_gradient))
         return -0.5 * np.einsum("ij,ij->i", block, block), -block if with_gradient else None
 
-    def fill(block, with_gradient):
-        calls.append(("fill", with_gradient))
-
-    rows.callables, rows.fill, logdensity.rows = (logdensity, gradient), fill, rows
+    rows.callables, logdensity.rows = (logdensity, gradient), rows
     positions = np.arange(6.0).reshape(3, 2)
     densities, gradients = evaluate_rows(positions, logdensity, gradient)
     assert calls == [("rows", True)]
@@ -195,10 +204,10 @@ def test_the_row_forms_own_pair_is_evaluated_a_block_at_a_time_and_a_wrapper_row
     for other, other_gradient in ((wrapped, gradient), (logdensity, lambda x: gradient(x))):
         calls.clear()
         evaluate_rows(positions, other, other_gradient)
-        assert calls == [("fill", True)] + ["density", "gradient"] * 3
+        assert calls == ["density", "gradient"] * 3
         calls.clear()
         evaluate(positions[1], other, other_gradient)
-        assert calls == [("fill", True), "density", "gradient"]
+        assert calls == ["density", "gradient"]
 
 
 # ------------------------------------------------------------- kernels
@@ -498,3 +507,52 @@ def test_runs_through_wrapped_callables_have_the_bits_of_the_block_path():
     assert plain_elbos.tobytes() == loop_elbos.tobytes()
     assert plain_state.mu.tobytes() == loop_state.mu.tobytes()
     assert plain_state.log_sigma.tobytes() == loop_state.log_sigma.tobytes()
+
+
+def _spied_logistic(key, calls):
+    """``logistic_synth`` rebuilt on its own row form, logging ``(rows, with_gradient)`` per body call."""
+    target = make_builtin("logistic_synth", 5, key).target
+
+    def body(positions, with_gradient):
+        calls.append((positions.shape[0], with_gradient))
+        return target.logdensity.rows(positions, with_gradient)
+
+    return Target(5, *fused_callables(body))
+
+
+def test_a_per_position_density_asks_its_body_for_no_gradient():
+    calls = []
+    target = _spied_logistic(make_key(22), calls)
+    x = normal_vector(make_key(23), 5)
+    target.logdensity(x)
+    assert calls == [(1, False)]
+    target.gradient(x)
+    assert calls == [(1, False), (1, True)]
+
+
+def test_a_nuts_leaf_calls_the_row_form_once_with_its_gradient():
+    calls = []
+    target = _spied_logistic(make_key(24), calls)
+    kernel = nuts.build_kernel(step_size=0.1, max_depth=4)
+    state = nuts.init(np.zeros(5), target)
+    assert calls == [(1, True)]
+    for i in range(5):
+        calls.clear()
+        state, info = kernel(fold_in(make_key(25), i), state, target)
+        assert info.num_integration_steps > 0
+        assert calls == [(1, True)] * info.num_integration_steps
+
+
+def test_a_nuts_chain_through_wrapped_callables_has_the_bits_of_the_plain_chain():
+    target = make_builtin("logistic_synth", 5, make_key(26)).target
+    wrapped = Target(5, _pass_through(target.logdensity), _pass_through(target.gradient))
+
+    def chain(chain_target):
+        algorithm = nuts.as_algorithm(chain_target, step_size=0.2)
+        return run_chain(make_key(27), algorithm.step, algorithm.init(np.zeros(5)), 30)
+
+    (plain_state, plain_infos, plain), (loop_state, loop_infos, loop) = chain(target), chain(wrapped)
+    assert plain.tobytes() == loop.tobytes()
+    assert plain_infos == loop_infos
+    assert plain_state.gradient.tobytes() == loop_state.gradient.tobytes()
+    assert _bits(plain_state.logdensity) == _bits(loop_state.logdensity)
