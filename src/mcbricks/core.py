@@ -358,7 +358,8 @@ def run_chain(
 
     Step ``i`` runs under ``fold_in(key, i)``, its input served by
     :func:`step_inputs`: when ``step`` has a draw atom (``step.draw``, set
-    by :func:`bind` for every built-in kernel), each step gets its record
+    by :func:`bind` for every built-in kernel and by
+    :func:`~mcbricks.vi.meanfield_vi`), each step gets its record
     from a block drawn in one call; any other step gets its key as an
     :class:`RngKey`.  A draw atom without a ``floats`` size counts as
     ``dim + 1`` floats per record, the size of a fixed kernel's row.

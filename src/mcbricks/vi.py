@@ -16,7 +16,8 @@ The draws are summed in row order by :func:`~mcbricks.core._ordered_sum`,
 so a step's numbers are those of a per-draw loop bit for bit.  The state
 exposes the approximation's location as ``position``, so
 :func:`~mcbricks.core.run_chain` folds :func:`meanfield_vi`'s step like a
-sampler's.
+sampler's; the step's draw atom lets it draw a block of steps' noise in one
+call, as it does for the kernels.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .core import ApproxAlgorithm, Target, _ordered_sum, evaluate_rows
-from .rng import RngKey, normal_matrix
+from .rng import RngKey, normal_matrix, normal_rows
 
 __all__ = [
     "MeanFieldState",
@@ -124,9 +125,20 @@ def meanfield_init(position: np.ndarray, optimizer: Optimizer) -> MeanFieldState
     return MeanFieldState(mu, log_sigma, optimizer.init(params))
 
 
-def _draws(key: RngKey, state: MeanFieldState, num_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draws(key: Any, state: MeanFieldState, num_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # ``key`` is an RngKey, or the float64 (num_samples, dim) noise already
+    # drawn from one, which is used as it is.
     sigma = np.exp(state.log_sigma)
-    xi = normal_matrix(key, num_samples, state.mu.shape[0])
+    dim = state.mu.shape[0]
+    if not isinstance(key, np.ndarray):
+        xi = normal_matrix(key, num_samples, dim)
+    elif key.dtype == np.float64 and key.shape == (num_samples, dim):
+        xi = key
+    else:
+        raise TypeError(
+            f"VI noise must be an RngKey or a float64 ({num_samples}, {dim}) block, "
+            f"not a {key.dtype} array of shape {key.shape}"
+        )
     return state.mu + sigma * xi, xi, sigma
 
 
@@ -157,7 +169,7 @@ def elbo_estimate(
 
 
 def vi_step(
-    key: RngKey,
+    key: Any,
     state: MeanFieldState,
     target: Target,
     optimizer: Optimizer,
@@ -167,9 +179,11 @@ def vi_step(
 
     Pathwise gradients: ``d/dmu = mean_j grad log pi(z_j)`` and
     ``d/dlog_sigma = mean_j [grad log pi(z_j) * xi_j * sigma] + 1`` (the
-    entropy contributes the constant 1).  The draws' densities and gradients
-    come from :func:`~mcbricks.core.evaluate_rows`, and the info carries the
-    ELBO estimate of the same draws.
+    entropy contributes the constant 1).  ``key`` is an :class:`RngKey`, or
+    the ``(num_samples, dim)`` noise that ``normal_matrix`` draws from it,
+    which moves the step bit for bit as the key does.  The draws' densities
+    and gradients come from :func:`~mcbricks.core.evaluate_rows`, and the
+    info carries the ELBO estimate of the same draws.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -195,11 +209,28 @@ def vi_sample(key: RngKey, state: MeanFieldState, num_samples: int) -> np.ndarra
 
 
 def meanfield_vi(target: Target, optimizer: Optimizer, num_samples: int = 16) -> ApproxAlgorithm:
-    """Package mean-field VI behind the init/step/sample protocol."""
+    """Package mean-field VI behind the init/step/sample protocol.
+
+    The step carries a draw atom, ``step.draw(keys)``: record ``i`` is
+    ``normal_matrix(keys[i], num_samples, dim)`` bit for bit (through
+    :func:`~mcbricks.rng.normal_rows`), ``num_samples * dim`` floats, so
+    :func:`~mcbricks.core.run_chain` serves the step a block of steps'
+    noise at a time and the step moves under a record as under its key.
+    """
     if num_samples < 1:
         raise ValueError("need at least one sample")
+    floats = num_samples * target.dim
+
+    def step(key, state):
+        return vi_step(key, state, target, optimizer, num_samples)
+
+    def draw(keys: np.ndarray) -> np.ndarray:
+        return normal_rows(keys, floats).reshape(-1, num_samples, target.dim)
+
+    draw.floats = floats
+    step.draw = draw
     return ApproxAlgorithm(
         init=lambda position: meanfield_init(position, optimizer),
-        step=lambda key, state: vi_step(key, state, target, optimizer, num_samples),
+        step=step,
         sample=vi_sample,
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcbricks.core import Target
+from mcbricks.core import Target, run_chain, step_inputs
 from mcbricks.rng import fold_in, make_key, normal_matrix
 from mcbricks.vi import (
     adam,
@@ -363,3 +363,55 @@ def test_vi_calls_no_target_callable_outside_evaluate_rows(monkeypatch):
     assert rows_seen == [(4, 2), (3, 2)]
     # Every target call happened inside one of the two evaluate_rows calls.
     assert calls == [1] * 8 + [2] * 3
+
+
+# ------------------------------------------------ noise a block of steps at a time
+
+
+@pytest.mark.parametrize("num_samples,dim,num_steps", [
+    (16, 5, 600),  # 80 floats a record: blocks of 256 steps
+    (1, 1, 300),
+    (3, 7, 40),
+    (2100, 16, 3),  # more floats than a block holds: blocks of one step
+])
+def test_each_noise_record_is_the_normal_matrix_of_its_step_key(num_samples, dim, num_steps):
+    target = _normalized_gaussian(np.zeros(dim), np.ones(dim))
+    draw = meanfield_vi(target, sgd(0.1), num_samples).step.draw
+    assert draw.floats == num_samples * dim
+    key = make_key(17)
+    seen = []
+    for t, record in step_inputs(key, draw, 0, num_steps, draw.floats):
+        assert record.dtype == np.float64
+        assert record.tobytes() == normal_matrix(fold_in(key, t), num_samples, dim).tobytes()
+        seen.append(t)
+    assert seen == list(range(num_steps))
+
+
+@pytest.mark.parametrize("use_adam", [False, True])
+def test_run_chain_gives_the_same_fit_on_the_noise_blocks_as_per_key(use_adam):
+    target = _REFERENCE_TARGETS["wide"](3)
+    algorithm = meanfield_vi(target, adam(0.05) if use_adam else sgd(0.01), num_samples=5)
+    initial = algorithm.init(np.full(3, 0.3))
+
+    def per_key(key, state):  # no draw atom: run_chain hands it the step's RngKey
+        assert not isinstance(key, np.ndarray)
+        return algorithm.step(key, state)
+
+    key = make_key(23)
+    blocks, keyed = (run_chain(key, step, initial, 700) for step in (algorithm.step, per_key))
+    assert _bits(blocks[0].mu) == _bits(keyed[0].mu)
+    assert _bits(blocks[0].log_sigma) == _bits(keyed[0].log_sigma)
+    assert _bits([info.elbo for info in blocks[1]]) == _bits([info.elbo for info in keyed[1]])
+    assert _bits(blocks[2]) == _bits(keyed[2])
+
+
+@pytest.mark.parametrize("noise", [
+    np.zeros((4, 3)),  # the wrong shape
+    np.zeros((4, 2), dtype=np.float32),
+    np.zeros((4, 2), dtype=np.uint64),
+])
+def test_vi_step_rejects_noise_that_is_not_its_block(noise):
+    target = _normalized_gaussian([0.0, 0.0], [1.0, 1.0])
+    state = meanfield_init(np.zeros(2), sgd(0.1))
+    with pytest.raises(TypeError):
+        vi_step(noise, state, target, sgd(0.1), 4)
