@@ -62,17 +62,27 @@ def _saturating_exp(value: float) -> float:
         return math.inf
 
 
-def _sigmoid(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, no overflow warnings.
+def _exp_neg_abs(scores: np.ndarray) -> np.ndarray:
+    """``t = exp(-|s|)`` as a fresh array: never overflows, and lies in ``(0, 1]``.
 
-    With ``t = exp(-|s|)`` (never overflows) it is ``1 / (1 + t)`` for
-    ``s >= 0`` and ``t / (1 + t)`` otherwise, bit for bit the two textbook
-    branches.  ``-|s|`` is taken as ``min(s, -s)`` so a NaN keeps its sign.
-    ``scores`` is not modified.
+    ``-|s|`` is taken as ``min(s, -s)``, so a NaN keeps its sign.
     """
     t = np.negative(scores)
     np.minimum(scores, t, out=t)
     np.exp(t, out=t)
+    return t
+
+
+def _sigmoid(scores: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable logistic function, no overflow warnings.
+
+    With ``t = exp(-|s|)`` (:func:`_exp_neg_abs`) it is ``1 / (1 + t)`` for
+    ``s >= 0`` and ``t / (1 + t)`` otherwise, bit for bit the two textbook
+    branches.  A caller that has ``t`` already passes it, and it is changed
+    in place; ``scores`` is not modified.
+    """
+    if t is None:
+        t = _exp_neg_abs(scores)
     out = np.where(scores >= 0.0, 1.0, t)
     t += 1.0
     out /= t
@@ -232,19 +242,27 @@ def _logistic_callables(data: LogisticData, with_prior: bool):
     (:func:`~mcbricks.core._row_matvec`, :func:`~mcbricks.core._row_dot`)
     make every row bit for bit the per-position ``design @ w``,
     ``s @ labels``, ``w @ w`` and ``design.T @ r``; the rest is elementwise
-    or reduces each row in order.
+    or reduces each row in order, so a row's bits do not depend on the
+    block's size or on the row's place in it.  One ``t = exp(-|s|)`` per
+    score serves both terms: the softplus ``log(1 + e^s)`` is
+    ``max(s, 0) + log1p(t)``, which differs from ``np.logaddexp(0, s)`` in
+    the last bits (its scalar ``exp`` is not NumPy's vector one), and the
+    sigmoid is :func:`_sigmoid` of the same ``t``.
     """
     design, labels = data.design, data.labels
 
     def body(weights: np.ndarray, with_gradient: bool):
         scores = _row_matvec(design, weights)
         densities = _row_dot(scores, labels)
-        densities -= np.logaddexp(0.0, scores).sum(axis=1)
+        t = _exp_neg_abs(scores)
+        softplus = np.maximum(scores, 0.0)
+        softplus += np.log1p(t)
+        densities -= softplus.sum(axis=1)
         if with_prior:
             densities = -0.5 * _row_dot(weights, weights) + densities
         if not with_gradient:
             return densities, None
-        residuals = labels - _sigmoid(scores)
+        residuals = labels - _sigmoid(scores, t)
         gradients = _row_matvec(design.T, residuals)
         if with_prior:
             likelihood_gradients = gradients

@@ -286,9 +286,11 @@ def test_tempered_conjugate_posterior_matches_the_analytic_one():
 
 # ------------------------------------------------- logistic single positions, sigmoid
 #
-# Frozen copies of the masked sigmoid and of the logistic terms as they were
-# before the linear predictor was shared between density and gradient.  The
-# shipped target must match them bit for bit, whatever the call order.
+# Frozen copies of the masked sigmoid and of the logistic terms, written per
+# position from first principles: the softplus is max(s, 0) + log1p(t) with
+# t = exp(min(s, -s)).  The shipped target must match them bit for bit,
+# whatever the call order.  The softplus used to be np.logaddexp(0, s); that
+# form stays below as a bound on the densities.
 
 
 def _reference_sigmoid(scores):
@@ -300,12 +302,17 @@ def _reference_sigmoid(scores):
     return out
 
 
-def _reference_terms(data):
+def _reference_softplus(scores):
+    """log(1 + e^s) from t = e^{-|s|}, with -|s| taken as the masked min(s, -s)."""
+    return np.maximum(scores, 0.0) + np.log1p(np.exp(np.minimum(scores, -scores)))
+
+
+def _reference_terms(data, softplus=_reference_softplus):
     design, labels = data.design, data.labels
 
     def loglik(w):
         scores = design @ w
-        return float(labels @ scores - np.sum(np.logaddexp(0.0, scores)))
+        return float(labels @ scores - np.sum(softplus(scores)))
 
     def grad_loglik(w):
         return design.T @ (labels - _reference_sigmoid(design @ w))
@@ -313,9 +320,9 @@ def _reference_terms(data):
     return loglik, grad_loglik
 
 
-def _reference_targets(key, lmbda):
+def _reference_targets(key, lmbda, softplus=_reference_softplus):
     """(builtin, tempered at ``lmbda``, tempered likelihood) as the reference computes them."""
-    loglik, grad_loglik = _reference_terms(make_logistic_data(key))
+    loglik, grad_loglik = _reference_terms(make_logistic_data(key), softplus)
     builtin = Target(
         LOGISTIC_NUM_FEATURES,
         lambda w: -0.5 * float(w @ w) + loglik(w),
@@ -667,6 +674,88 @@ def test_the_block_path_has_the_bits_of_the_per_row_loop(block, lmbda, with_grad
             for x in block:
                 for got, want in zip(evaluate(x, *own), evaluate(x, *wrapped)):
                     assert _bits(got) == _bits(want)
+
+
+# ------------------------------------------------- the one-exp softplus
+#
+# The body takes the softplus from the sigmoid's t = exp(-|s|).  Against the
+# np.logaddexp(0, s) form it replaced, densities move by a few ulp at most,
+# non-finite and signed-zero rows not at all, and gradients not at all.  A
+# row's bits must not depend on the block it is evaluated in.
+
+
+def _logaddexp_softplus(scores):
+    return np.logaddexp(0.0, scores)
+
+
+# The all-zero, all-negative-zero, infinite and NaN rows of _SPECIAL_ROWS.
+_EXACT_SPECIAL_ROWS = (0, 1, 3, 4, 5, 6)
+
+
+def _assert_within_the_logaddexp_bound(key, lmbda, block):
+    """Densities within 4 ulp of ``max(1, |density|)`` of the logaddexp form, gradients equal."""
+    for got, old in zip(_shipped_targets(key, lmbda),
+                        _reference_targets(key, lmbda, _logaddexp_softplus)):
+        densities, gradients = evaluate_rows(block, got.logdensity, got.gradient)
+        want_densities, want_gradients = _per_row(old, block, with_gradient=True)
+        assert _bits(gradients) == _bits(want_gradients)
+        finite = np.isfinite(want_densities)
+        assert _bits(densities[~finite]) == _bits(want_densities[~finite])
+        gap = np.abs(densities[finite] - want_densities[finite])
+        assert np.all(gap <= 4.0 * np.spacing(np.maximum(1.0, np.abs(want_densities[finite]))))
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_logistic_densities_stay_within_4_ulp_of_the_logaddexp_form_at_extreme_scores(seed):
+    key = make_key(seed)
+    block = np.array(_positions_with_extreme_scores(seed, count=200))
+    exact = np.array([_SPECIAL_ROWS[i] for i in _EXACT_SPECIAL_ROWS])
+    with np.errstate(all="ignore"):
+        for lmbda in (0.0, 0.37, 1.0):
+            _assert_within_the_logaddexp_bound(key, lmbda, block)
+            for got, old in zip(_shipped_targets(key, lmbda),
+                                _reference_targets(key, lmbda, _logaddexp_softplus)):
+                for x in exact:
+                    assert _bits(got.logdensity(x)) == _bits(old.logdensity(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_blocks(), lmbda=st.sampled_from([0.0, 0.37, 1.0]))
+def test_logistic_densities_stay_within_4_ulp_of_the_logaddexp_form_on_random_blocks(block, lmbda):
+    with np.errstate(all="ignore"):
+        _assert_within_the_logaddexp_bound(make_key(3), lmbda, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_blocks(), lmbda=st.sampled_from([0.0, 0.37, 1.0]), with_gradient=st.booleans())
+def test_a_logistic_rows_bits_do_not_depend_on_its_block(block, lmbda, with_gradient):
+    """Each row of a block of 1 to 300 rows has the bits it has alone."""
+    with np.errstate(all="ignore"):
+        for got in _shipped_targets(make_key(3), lmbda):
+            _assert_rows_match(got, got, block, with_gradient)
+
+
+@pytest.mark.parametrize("num", [1, 2, 7, 8, 9, 16, 17, 33, 64, 100, 129, 256, 300])
+def test_special_rows_have_their_own_bits_at_any_block_size_and_place(num):
+    """Every special row, both NaN signs among them, first, middle and last in the block."""
+    rng = np.random.default_rng(num)
+    filler = rng.normal(size=(num, LOGISTIC_NUM_FEATURES)) * rng.choice(_ROW_SCALES, size=(num, 1))
+    specials = np.array(_SPECIAL_ROWS)
+    with np.errstate(all="ignore"):
+        for got in _shipped_targets(make_key(3), 0.37):
+            for with_gradient in (False, True):
+                filler_alone = _per_row(got, filler, with_gradient)
+                specials_alone = _per_row(got, specials, with_gradient)
+                for j, special in enumerate(specials):
+                    for place in sorted({0, num // 2, num - 1}):
+                        block = filler.copy()
+                        block[place] = special
+                        have = evaluate_rows(block, got.logdensity,
+                                             got.gradient if with_gradient else None)
+                        for part in range(2 if with_gradient else 1):
+                            want = filler_alone[part].copy()
+                            want[place] = specials_alone[part][j]
+                            assert _bits(have[part]) == _bits(want)
 
 
 def test_a_gradient_changed_in_place_by_its_caller_leaves_later_results_alone():
