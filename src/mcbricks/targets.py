@@ -63,7 +63,7 @@ def _saturating_exp(value: float) -> float:
 
 
 def _exp_neg_abs(scores: np.ndarray) -> np.ndarray:
-    """``t = exp(-|s|)`` as a fresh array: never overflows, and lies in ``(0, 1]``.
+    """``t = exp(-|s|)`` as a fresh array: it never overflows, and lies in ``[0, 1]``.
 
     ``-|s|`` is taken as ``min(s, -s)``, so a NaN keeps its sign.
     """
