@@ -12,6 +12,7 @@ and a final fast stage that polishes the step size for the new metric.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -270,13 +271,14 @@ def window_adaptation(
 
     ``kernel_family`` selects the transition used during warmup: ``"nuts"``
     or ``"hmc"`` (fixed ``num_integration_steps``).  Iteration ``i`` moves
-    under ``fold_in(key_run, i)``, its record drawn with the stage's block
-    through :func:`~mcbricks.core.step_inputs`.  Dual averaging runs in
-    every stage; the covariance accumulator only sees slow-window samples.
-    At each slow-window boundary the metric is rebuilt from the window, the
-    accumulator resets, and the step size restarts from a fresh
-    bracketing search at the current position.  The returned step size is
-    the dual-averaging average from the final stage.
+    under ``fold_in(key_run, i)``, its record served by one
+    :func:`~mcbricks.core.step_inputs` stream for all of warmup: a record
+    holds no step size or metric, so a block of records may cross stages.
+    Dual averaging runs in every stage; the covariance accumulator only
+    sees slow-window samples.  At each slow-window boundary the metric is
+    rebuilt from the window, the accumulator resets, and the step size
+    restarts from a fresh bracketing search at the current position.  The
+    returned step size is the dual-averaging average from the final stage.
     """
     if kernel_family not in ("nuts", "hmc"):
         raise ValueError("kernel family must be 'nuts' or 'hmc'")
@@ -301,7 +303,9 @@ def window_adaptation(
     )
     da = da_init(step_size)
     schedule = build_schedule(num_warmup)
-    iteration = 0
+    # Iteration i runs under fold_in(key_run, i), whatever its stage.
+    draw = bound_draw(build(step_size, metric), target)
+    records = step_inputs(key_run, draw, 0, num_warmup, draw.floats)
     boundary = 0
     welford: Optional[WelfordState] = None
     # As in run_chain: the kernels absorb non-finite arithmetic.
@@ -309,16 +313,12 @@ def window_adaptation(
         for kind, length in schedule.stages:
             if kind == "slow":
                 welford = welford_init(target.dim, mass)
-            # Iteration i runs under fold_in(key_run, i).  A block of records
-            # stays within its stage: HMC's rows carry the stage's metric.
-            draw = bound_draw(build(math.exp(da.log_step), metric), target)
-            for _, record in step_inputs(key_run, draw, iteration, iteration + length, draw.floats):
+            for _, record in islice(records, length):
                 kernel = build(math.exp(da.log_step), metric)
                 state, info = kernel(record, state, target)
                 da = da_update(da, info.p_accept, target_accept)
                 if kind == "slow":
                     welford = welford_update(welford, state.position)
-            iteration += length
             if kind == "slow":
                 metric = welford_finalize(welford, regularize=True)
                 boundary += 1

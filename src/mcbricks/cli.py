@@ -16,8 +16,9 @@ no longer changes how chains run (worker threads gave no speedup: they
 serialise on the interpreter lock), so every setting writes the same bytes.
 
 Exit codes: 0 success; 2 configuration error, including a setting the library
-rejects while a run is built (before any sampling); 3 numerical failure while
-sampling; 141 when the reader closes standard output early.
+rejects while a run is built (before any sampling) and an output directory
+that cannot be created or written; 3 numerical failure while sampling; 141
+when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -288,8 +289,9 @@ def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] =
     stack = np.stack(chains)
     summary = summarize(stack, infos)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out_dir / "samples.csv", chains)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_samples_csv(out_dir / "samples.csv", chains)
     per_dim = [
         [summary.mean[d], summary.std[d], summary.ess[d], summary.rhat[d]]
         for d in range(stack.shape[2])
@@ -304,10 +306,19 @@ def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] =
     }
     if extras:
         payload.update(extras)
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
+    with _writing(out_dir), open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
         json.dump(_json_ready(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return out_dir
+
+
+@contextlib.contextmanager
+def _writing(out_dir: Path):
+    """Report an ``OSError`` raised while ``out_dir`` is created or written as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {str(out_dir)!r}: {exc}") from exc
 
 
 def _sampler(args, name: str, target, step_size: float, metric=None) -> SamplingAlgorithm:
@@ -401,6 +412,8 @@ def _tree_counters(infos: list, max_depth: int) -> dict:
 def _cmd_run_smc(args: argparse.Namespace) -> int:
     key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "gauss_conjugate")
+    if args.num_particles < 4:
+        raise ConfigError("--num-particles must be at least 4 for diagnostics")
     started = time.perf_counter()
 
     def mutation(target) -> SamplingAlgorithm:
@@ -454,9 +467,10 @@ def _cmd_run_vi(args: argparse.Namespace) -> int:
         draws = algorithm.sample(fold_in(key_run, args.num_steps), state, args.num_draws)
     extras = {"vi": {"final_elbo": float(elbo_trace[-1])}}
     out_dir = _write_outputs(args, [draws], None, started, extras)
-    with open(out_dir / "elbo_trace.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("step,elbo\n")
-        _write_csv_rows(handle, (), elbo_trace[:, None])
+    with _writing(out_dir):
+        with open(out_dir / "elbo_trace.csv", "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("step,elbo\n")
+            _write_csv_rows(handle, (), elbo_trace[:, None])
     return 0
 
 

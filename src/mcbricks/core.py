@@ -10,14 +10,16 @@ fold and replaying it with the same key reproduces every draw bitwise.
 
 Every built-in kernel carries a *draw atom* as its ``draw`` attribute: it
 maps an ``(m, 2)`` key array to one record of randomness per key, and the
-kernel takes such a record in place of the key.  RWM, MALA, HMC and GHMC
-share one atom (:func:`mcbricks.integrator.momentum_draw`), whose record is
-a ``float64`` row; NUTS fixes every number a tree could use from the key
-before it builds the tree (:func:`mcbricks.mcmc.nuts.build_kernel`).  An
-atom's ``floats(dim)`` is the size of its record.  :func:`bind` hands the
-atom on to the step, and :func:`step_inputs` serves the steps of a chain a
-block at a time; :func:`run_chain` and warmup draw through it.  The fixed
-kernels step one state or an ensemble with one body, :func:`evaluate`
+kernel takes such a record in place of the key.  A record holds randomness
+only, never a step size or a metric, which the kernel applies itself.  RWM,
+MALA, HMC and GHMC share one atom
+(:func:`mcbricks.integrator.momentum_draw`), whose record is a ``float64``
+row of normals and a uniform; NUTS fixes every number a tree could use from
+the key before it builds the tree (:func:`mcbricks.mcmc.nuts.build_kernel`).
+An atom's ``floats(dim)`` is the size of its record.  :func:`bind` hands
+the atom on to the step, and :func:`step_inputs` serves the steps of a
+chain a block at a time; :func:`run_chain` and warmup draw through it.  The
+fixed kernels step one state or an ensemble with one body, :func:`evaluate`
 being the one place that tells the two shapes apart for the target.
 
 A target callable may carry a *row form* as its ``rows`` attribute:
@@ -56,7 +58,6 @@ __all__ = [
     "fused_callables",
     "bind",
     "bound_draw",
-    "kernel_draws",
     "step_inputs",
     "run_chain",
     "gradient_discrepancy",
@@ -290,30 +291,6 @@ def bound_draw(kernel: Callable, target: Target) -> Optional[Callable]:
     bound = partial(draw, target=target)
     bound.floats = draw.floats(target.dim)
     return bound
-
-
-def kernel_draws(key: Any, draw: Callable, target: Target, ensemble: bool = True) -> np.ndarray:
-    """The randomness a kernel with draw atom ``draw`` moves under.
-
-    An :class:`RngKey` gives its one row of ``draw``, which the atom draws
-    with the scalar RNG functions: a one-row array draw costs several times
-    a whole RWM step.  A ``float64`` row of ``target.dim + 1`` values is
-    taken as already drawn.  With ``ensemble``, an ``(n, 2)`` ``uint64`` key
-    array gives one row per key, a 2-D array.  Anything else raises
-    ``TypeError``: a ``uint64`` key row, for one, is a key and not
-    randomness.
-    """
-    if not isinstance(key, np.ndarray):
-        return draw(key, target)
-    if key.dtype == np.float64 and key.shape == (target.dim + 1,):
-        return key
-    if ensemble and key.dtype == np.uint64 and key.ndim == 2 and key.shape[1] == 2:
-        return draw(key, target)
-    expected = "an RngKey, an (n, 2) uint64 key array" if ensemble else "an RngKey"
-    raise TypeError(
-        f"kernel key must be {expected} or a float64 row of {target.dim + 1} pre-drawn "
-        f"values, not a {key.dtype} array of shape {key.shape}"
-    )
 
 
 class ChainError(RuntimeError):

@@ -2,35 +2,37 @@
 
 The integrator is deliberately independent of any acceptance step: it maps
 an :class:`IntegratorState` to another, and samplers decide what to do with
-the endpoint.  Velocity Verlet is the only scheme shipped, but every
-consumer takes the integrator as a callable, so higher-order schemes can be
-slotted in without touching the samplers.
+the endpoint.  Velocity Verlet is the only scheme shipped: HMC calls
+:func:`trajectory`, GHMC :func:`leapfrog`, and NUTS writes the step out in
+its tree loop.
 
 The metric is the mass matrix M of the momentum distribution N(0, M),
 with kinetic energy ``0.5 * p^T M^{-1} p``.  Identity and diagonal metrics
 store the inverse mass as a vector; dense metrics store the full inverse
 mass matrix plus a Cholesky factor of M for momentum sampling.
 
-``kinetic_energy``, ``sample_momentum``, ``scale_momentum``, ``velocity``,
-``total_energy``, ``leapfrog`` and ``trajectory`` also take an ensemble:
-positions, momenta and gradients as ``(n, dim)`` matrices, log densities
-and energies as ``(n,)`` vectors, and one key per row for momentum draws.
-Each row comes out bit for bit as the single-state call on that row would
-give it.
+``kinetic_energy``, ``scale_momentum``, ``velocity``, ``total_energy``,
+``leapfrog`` and ``trajectory`` also take an ensemble: positions, momenta
+and gradients as ``(n, dim)`` matrices, log densities and energies as
+``(n,)`` vectors.  Each row comes out bit for bit as the single-state call
+on that row would give it.  :func:`sample_momentum` draws one momentum
+from one key.
 
-:func:`momentum_draw` builds the one draw atom of the RWM, MALA, HMC and
-GHMC kernels: per step key, a momentum and one uniform.
+:func:`momentum_draw` is the one draw atom of the RWM, MALA, HMC and GHMC
+kernels: per step key, standard normals and one uniform, with no metric,
+so one record serves every step size and metric.  HMC and GHMC scale the
+normals under their metric (:func:`scale_momentum`), as NUTS does.
+:func:`kernel_draws` gives a kernel the records it moves under.
 
 ``kinetic_energy`` checks the momentum against the metric; the energy
 rules of the kernels skip that check on every leapfrog.  A metric meets its
 target once, when an algorithm is built (:func:`check_metric`), and is
 checked there.
 """
-
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Union
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "sample_momentum",
     "scale_momentum",
     "momentum_draw",
+    "kernel_draws",
     "velocity",
     "total_energy",
     "leapfrog",
@@ -165,14 +168,8 @@ def _kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:
 
 
 def sample_momentum(key: RngKey, metric: Metric) -> np.ndarray:
-    """Draw ``p ~ N(0, M)`` as ``mass_cholesky @ z`` with standard-normal z.
-
-    A key array (one key per row, see :func:`mcbricks.rng.key_rows`) draws
-    an ``(n, dim)`` matrix of momenta.
-    """
-    dim = metric.inverse_mass.shape[0]
-    z = normal_rows(key, dim) if isinstance(key, np.ndarray) else normal_vector(key, dim)
-    return scale_momentum(z, metric)
+    """Draw ``p ~ N(0, M)`` as ``mass_cholesky @ z`` with standard-normal z."""
+    return scale_momentum(normal_vector(key, metric.inverse_mass.shape[0]), metric)
 
 
 def scale_momentum(z: np.ndarray, metric: Metric) -> np.ndarray:
@@ -189,28 +186,48 @@ def velocity(momentum: np.ndarray, metric: Metric) -> np.ndarray:
     return metric.inverse_mass * momentum
 
 
-def momentum_draw(metric: Optional[Metric] = None) -> Callable:
-    """The draw atom ``draw(keys, target)`` of the RWM, MALA, HMC and GHMC kernels.
+def momentum_draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
+    """The draw atom of the RWM, MALA, HMC and GHMC kernels: one record per key.
 
-    A key's row is the momentum drawn under ``metric`` from its first child,
-    then the uniform of its second.  No metric means the identity metric,
-    whose momentum is the ``normal_vector`` draw bit for bit.  An ``(m, 2)``
-    key array gives ``m`` rows; one ``RngKey`` gives its row through the
-    scalar functions, far cheaper than a one-row array draw.  A row holds
-    ``draw.floats(dim) = dim + 1`` values.
+    A key's record is ``target.dim`` standard normals from its first child,
+    then the uniform of its second: pure randomness, which each kernel
+    scales itself.  An ``(m, 2)`` key array gives ``m`` rows; one
+    ``RngKey`` gives its row through the scalar functions, far cheaper than
+    a one-row array draw.  A row holds ``momentum_draw.floats(dim) = dim + 1``
+    values.
     """
+    if isinstance(keys, np.ndarray):
+        key_normal, key_uniform = split_key_rows(keys, 2).transpose(1, 0, 2)
+        return np.column_stack((normal_rows(key_normal, target.dim), uniform_rows(key_uniform)))
+    key_normal, key_uniform = split_key(keys, 2)
+    return np.append(normal_vector(key_normal, target.dim), uniform(key_uniform))
 
-    def draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray:
-        kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        if isinstance(keys, np.ndarray):
-            key_momentum, key_uniform = split_key_rows(keys, 2).transpose(1, 0, 2)
-            momentum = sample_momentum(key_momentum, kernel_metric)
-            return np.column_stack((momentum, uniform_rows(key_uniform)))
-        key_momentum, key_uniform = split_key(keys, 2)
-        return np.append(sample_momentum(key_momentum, kernel_metric), uniform(key_uniform))
 
-    draw.floats = lambda dim: dim + 1
-    return draw
+momentum_draw.floats = lambda dim: dim + 1
+
+
+def kernel_draws(key: Any, target: Target, ensemble: bool = True) -> np.ndarray:
+    """The :func:`momentum_draw` records a fixed kernel moves under.
+
+    An :class:`RngKey` gives its one row, which the atom draws with the
+    scalar RNG functions: a one-row array draw costs several times a whole
+    RWM step.  A ``float64`` row of ``target.dim + 1`` values is taken as
+    already drawn.  With ``ensemble``, an ``(n, 2)`` ``uint64`` key array
+    gives one row per key, a 2-D array.  Anything else raises
+    ``TypeError``: a ``uint64`` key row, for one, is a key and not
+    randomness.
+    """
+    if not isinstance(key, np.ndarray):
+        return momentum_draw(key, target)
+    if key.dtype == np.float64 and key.shape == (target.dim + 1,):
+        return key
+    if ensemble and key.dtype == np.uint64 and key.ndim == 2 and key.shape[1] == 2:
+        return momentum_draw(key, target)
+    expected = "an RngKey, an (n, 2) uint64 key array" if ensemble else "an RngKey"
+    raise TypeError(
+        f"kernel key must be {expected} or a float64 row of {target.dim + 1} pre-drawn "
+        f"values, not a {key.dtype} array of shape {key.shape}"
+    )
 
 
 def total_energy(state: IntegratorState, metric: Metric) -> float:

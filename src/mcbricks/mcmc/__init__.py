@@ -7,9 +7,11 @@ convenience that packages both behind the library-wide init/step protocol
 through :func:`mcbricks.core.bind`.  Every kernel carries a draw atom as
 ``kernel.draw(keys, target)``, which draws the randomness of many steps at
 once (see :mod:`mcbricks.core`): RWM, MALA, HMC and GHMC share
-:func:`mcbricks.integrator.momentum_draw`, and NUTS draws one
-:class:`~mcbricks.mcmc.nuts.NutsDraw` record per step, every number its
-tree could use.  RWM, MALA and HMC each write their accept
+:func:`mcbricks.integrator.momentum_draw`, standard normals and a uniform,
+and NUTS draws one :class:`~mcbricks.mcmc.nuts.NutsDraw` record per step,
+every number its tree could use.  No record holds a step size or a metric:
+HMC, GHMC and NUTS scale their normals into a momentum under their own
+metric.  RWM, MALA and HMC each write their accept
 rule once and step a single state or an ensemble with one body, through
 :func:`mcbricks.proposal.settle`.
 

@@ -15,15 +15,17 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .. import core
-from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, kernel_draws
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind
 from ..integrator import (
     IntegratorState,
     Metric,
     _kinetic_energy,
     check_metric,
     identity_metric,
+    kernel_draws,
     leapfrog,
     momentum_draw,
+    scale_momentum,
     total_energy,
 )
 from ..proposal import (
@@ -81,9 +83,10 @@ def build_kernel(
     leaves the slice fully persistent, 1 redraws it uniformly each step.
 
     ``kernel.draw`` is the shared draw atom
-    :func:`~mcbricks.integrator.momentum_draw` under ``metric``: the refresh
-    momentum, then the slice uniform (see :func:`~mcbricks.core.kernel_draws`).
-    The kernel steps one state only.
+    :func:`~mcbricks.integrator.momentum_draw`: standard normals, which the
+    kernel scales into the refresh momentum under ``metric``, then the slice
+    uniform (see :func:`~mcbricks.integrator.kernel_draws`).  The kernel
+    steps one state only.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -92,12 +95,12 @@ def build_kernel(
     if not 0.0 <= slice_jitter <= 1.0:
         raise ValueError("slice jitter must lie in [0, 1]")
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
-    draw = momentum_draw(metric)
 
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        draws = kernel_draws(key, draw, target, ensemble=False)
-        momentum = persistence * state.momentum + refresh_scale * draws[:-1]
+        draws = kernel_draws(key, target, ensemble=False)
+        refresh = scale_momentum(draws[:-1], kernel_metric)
+        momentum = persistence * state.momentum + refresh_scale * refresh
         energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         end = leapfrog(start, step_size, kernel_metric, target)
@@ -114,7 +117,7 @@ def build_kernel(
         energy = energy_end if accepted else energy_start
         return chosen, AcceptanceInfo(p_accept, accepted, not math.isfinite(energy_end), energy, 1)
 
-    kernel.draw = draw
+    kernel.draw = momentum_draw
     return kernel
 
 

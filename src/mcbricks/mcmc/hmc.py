@@ -13,16 +13,16 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from ..core import (
-    AcceptanceInfo, GradientState, SamplingAlgorithm, Target, bind, init, kernel_draws,
-)
+from ..core import AcceptanceInfo, GradientState, SamplingAlgorithm, Target, bind, init
 from ..integrator import (
     IntegratorState,
     Metric,
     _kinetic_energy,
     check_metric,
     identity_metric,
+    kernel_draws,
     momentum_draw,
+    scale_momentum,
     total_energy,
     trajectory,
 )
@@ -48,8 +48,9 @@ def build_kernel(
     reported ``p_accept`` still reflects the raw endpoint energies.
 
     ``kernel.draw`` is the shared draw atom
-    :func:`~mcbricks.integrator.momentum_draw` under ``metric``: the
-    momentum, then the accept uniform (see :func:`~mcbricks.core.kernel_draws`).
+    :func:`~mcbricks.integrator.momentum_draw`: standard normals, which the
+    kernel scales into a momentum under ``metric``, then the accept uniform
+    (see :func:`~mcbricks.integrator.kernel_draws`).
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -57,7 +58,6 @@ def build_kernel(
         raise ValueError("divergence threshold must be strictly positive")
     if num_integration_steps < 1:
         raise ValueError("need at least one integration step")
-    draw = momentum_draw(metric)
 
     def decide(u: float, energy_start: float, energy_end: float) -> tuple[bool, AcceptanceInfo]:
         log_ratio = safe_energy_diff(energy_start, energy_end)
@@ -69,8 +69,8 @@ def build_kernel(
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        draws = kernel_draws(key, draw, target)
-        momentum = draws[..., :-1]
+        draws = kernel_draws(key, target)
+        momentum = scale_momentum(draws[..., :-1], kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)
         end = trajectory(start, step_size, kernel_metric, target, num_integration_steps)
@@ -78,7 +78,7 @@ def build_kernel(
         energies = (energy_start, total_energy(end, kernel_metric))
         return settle(decide, draws[..., -1], energies, proposed, state)
 
-    kernel.draw = draw
+    kernel.draw = momentum_draw
     return kernel
 
 

@@ -30,9 +30,8 @@ from ..core import (
     bind,
     evaluate,
     init,
-    kernel_draws,
 )
-from ..integrator import momentum_draw
+from ..integrator import kernel_draws, momentum_draw
 from ..proposal import asymmetric_log_ratio, binomial_decision, settle
 from ..rng import RngKey
 
@@ -53,13 +52,12 @@ def build_kernel(
     """Kernel proposing ``q' = q + eps * grad(q) + sqrt(2 eps) * z``.
 
     ``kernel.draw`` is the shared draw atom
-    :func:`~mcbricks.integrator.momentum_draw` with no metric: the proposal
-    normals, then the accept uniform (see :func:`~mcbricks.core.kernel_draws`).
+    :func:`~mcbricks.integrator.momentum_draw`: the proposal normals, then
+    the accept uniform (see :func:`~mcbricks.integrator.kernel_draws`).
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
     noise_scale = math.sqrt(2.0 * step_size)
-    draw = momentum_draw()
 
     def decide(u, old, new, finite_gradient, log_q_reverse, log_q_forward):
         divergent = not (math.isfinite(new) and finite_gradient)
@@ -71,7 +69,7 @@ def build_kernel(
         return accepted, AcceptanceInfo(p_accept, accepted, divergent, -(new if accepted else old))
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
-        draws = kernel_draws(key, draw, target)
+        draws = kernel_draws(key, target)
         position = state.position + step_size * state.gradient + noise_scale * draws[..., :-1]
         logdensity, gradient = evaluate(position, target.logdensity, target.gradient)
         columns = (state.logdensity, logdensity, np.isfinite(gradient).all(axis=-1),
@@ -81,7 +79,7 @@ def build_kernel(
             decide, draws[..., -1], columns, GradientState(position, logdensity, gradient), state
         )
 
-    kernel.draw = draw
+    kernel.draw = momentum_draw
     return kernel
 
 

@@ -13,8 +13,8 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, evaluate, kernel_draws
-from ..integrator import momentum_draw
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind, evaluate
+from ..integrator import kernel_draws, momentum_draw
 from ..proposal import binomial_decision, safe_energy_diff, settle
 from ..rng import RngKey
 
@@ -40,26 +40,25 @@ def build_kernel(
     vector (diagonal preconditioning).
 
     ``kernel.draw`` is the shared draw atom
-    :func:`~mcbricks.integrator.momentum_draw` with no metric: the proposal
-    normals, then the accept uniform (see :func:`~mcbricks.core.kernel_draws`).
+    :func:`~mcbricks.integrator.momentum_draw`: the proposal normals, then
+    the accept uniform (see :func:`~mcbricks.integrator.kernel_draws`).
     """
     scale = np.asarray(proposal_scale, dtype=float)
     if not np.all(scale > 0.0):
         raise ValueError("proposal scale must be strictly positive")
-    draw = momentum_draw()
 
     def decide(u: float, old: float, new: float) -> tuple[bool, AcceptanceInfo]:
         accepted, p_accept = binomial_decision(u, safe_energy_diff(-old, -new))
         return accepted, AcceptanceInfo(p_accept, accepted, False, -(new if accepted else old))
 
     def kernel(key: RngKey, state: RwmState, target: Target) -> tuple[RwmState, AcceptanceInfo]:
-        draws = kernel_draws(key, draw, target)
+        draws = kernel_draws(key, target)
         position = state.position + scale * draws[..., :-1]
         logdensity = evaluate(position, target.logdensity)[0]
         proposed = RwmState(position, logdensity)
         return settle(decide, draws[..., -1], (state.logdensity, logdensity), proposed, state)
 
-    kernel.draw = draw
+    kernel.draw = momentum_draw
     return kernel
 
 

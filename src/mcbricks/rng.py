@@ -44,7 +44,6 @@ as the fixed kernels under one ``RngKey`` and the step-size search.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -88,8 +87,6 @@ _NP_11 = np.uint64(11)
 _NP_27 = np.uint64(27)
 _NP_30 = np.uint64(30)
 _NP_31 = np.uint64(31)
-# Longest counter run kept by _counter_steps; longer ones are rebuilt per call.
-_MAX_CACHED_STEPS = 1024
 
 
 class RngKey(NamedTuple):
@@ -133,23 +130,10 @@ def _word(seed: int, index: int) -> int:
     return _mix64((seed + index * _GOLDEN) & _MASK64)
 
 
-@functools.lru_cache(maxsize=64)
-def _counter_steps(count: int) -> np.ndarray:
-    # ``arange(count) * GOLDEN``, cached and so shared by every later call:
-    # read-only, so no caller can change another's counters.
-    steps = np.arange(count, dtype=np.uint64) * _NP_GOLDEN
-    steps.setflags(write=False)
-    return steps
-
-
 def _words_np(seed, count: int) -> np.ndarray:
     # Words 0..count-1 of the stream, as a fresh array the caller may modify.
     # A column of n seeds (shape (n, 1)) gives the (n, count) words of n streams.
-    if count <= _MAX_CACHED_STEPS:
-        steps = _counter_steps(count)
-    else:
-        steps = np.arange(count, dtype=np.uint64) * _NP_GOLDEN
-    return _mix64_np(steps + np.uint64(seed))
+    return _mix64_np(np.arange(count, dtype=np.uint64) * _NP_GOLDEN + np.uint64(seed))
 
 
 def _unit_doubles(words: np.ndarray) -> np.ndarray:

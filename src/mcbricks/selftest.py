@@ -129,12 +129,12 @@ def _check_kernels() -> None:
         sghmc_algorithm(estimator, 0.01, 0.5),
     ]
     # The draw atom of RWM, MALA, HMC and GHMC: the key's first child's
-    # normals (the identity metric's momentum), then its second child's uniform.
-    row = momentum_draw()(key, target).tobytes()
+    # normals, then its second child's uniform.
+    row = momentum_draw(key, target).tobytes()
     key_normal, key_uniform = split_key(key, 2)
     assert row == np.append(normal_vector(key_normal, 2), uniform(key_uniform)).tobytes(), \
         "draw atom row changed"
-    assert momentum_draw()(key_rows([key]), target)[0].tobytes() == row, "draw atom key array"
+    assert momentum_draw(key_rows([key]), target)[0].tobytes() == row, "draw atom key array"
     for algorithm in algorithms[:4]:
         assert algorithm.step.draw(key).tobytes() == row, "kernel left the shared draw atom"
     position = np.array([0.25, -0.5])

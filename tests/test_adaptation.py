@@ -19,7 +19,7 @@ from mcbricks.adaptation import (
     welford_update,
     window_adaptation,
 )
-from mcbricks.core import Target
+from mcbricks.core import Target, step_inputs
 from mcbricks.integrator import (
     IntegratorState,
     identity_metric,
@@ -438,6 +438,23 @@ _PINNED_WARMUP = {
 }
 
 
+# The same at 600 warmup steps, taken before warmup drew all its records
+# from one stream.  The 256-step blocks then end inside the 300-step slow
+# window, so a block that crossed a stage and drew other records would show.
+_PINNED_LONG_WARMUP = {
+    "nuts": (
+        "funnel", "diagonal", "0x1.2edf42e036ecep-3",
+        ["0x1.a21461301a435p+1", "0x1.fb7c075c123ffp+3", "0x1.9204d9c00b943p+2"],
+    ),
+    "hmc": (
+        "aniso_gauss", "dense", "0x1.89e5b3f956283p-1",
+        ["0x1.9d51262c31d8ap-1", "-0x1.eb3a060f187e4p-2", "-0x1.778a275600c2dp+0",
+         "-0x1.eb3a060f187e4p-2", "0x1.1b0df8771a7e3p+3", "0x1.f1a0a18ff6dccp+1",
+         "-0x1.778a275600c2dp+0", "0x1.f1a0a18ff6dcap+1", "0x1.795a04667f61bp+6"],
+    ),
+}
+
+
 @pytest.mark.parametrize("family", sorted(_PINNED_WARMUP))
 def test_window_adaptation_returns_the_pinned_settings(family):
     name, mass, step_size, inverse_mass = _PINNED_WARMUP[family]
@@ -450,16 +467,29 @@ def test_window_adaptation_returns_the_pinned_settings(family):
     assert [float(v).hex() for v in result.metric.inverse_mass.ravel()] == inverse_mass
 
 
+@pytest.mark.parametrize("family", sorted(_PINNED_LONG_WARMUP))
+def test_window_adaptation_returns_the_pinned_settings_across_blocks(family):
+    name, mass, step_size, inverse_mass = _PINNED_LONG_WARMUP[family]
+    target = make_builtin(name, 3).target
+    result = window_adaptation(
+        make_key(77), target, np.zeros(3), 600, kernel_family=family, mass=mass,
+        num_integration_steps=5,
+    )
+    assert float(result.step_size).hex() == step_size
+    assert [float(v).hex() for v in result.metric.inverse_mass.ravel()] == inverse_mass
+
+
 @pytest.mark.parametrize("family", ["nuts", "hmc"])
-def test_window_adaptation_draws_each_stage_in_blocks(monkeypatch, family):
-    """Every warmup step moves under a pre-drawn record; no block crosses a stage."""
+def test_window_adaptation_draws_warmup_as_one_record_stream(monkeypatch, family):
+    """Every warmup step moves under a pre-drawn record, served in the blocks of one range."""
     module = nuts if family == "nuts" else hmc
     build_kernel = module.build_kernel
-    blocks, inputs = [], []
+    blocks, inputs, atoms = [], [], []
 
     def spying_build_kernel(*args, **kwargs):
         kernel = build_kernel(*args, **kwargs)
         draw = kernel.draw
+        atoms.append(draw)
 
         def spied_draw(keys, target):
             blocks.append(keys.shape[0])
@@ -475,10 +505,15 @@ def test_window_adaptation_draws_each_stage_in_blocks(monkeypatch, family):
 
     monkeypatch.setattr(module, "build_kernel", spying_build_kernel)
     num_warmup = 400
-    window_adaptation(make_key(9), std_normal(2).target, np.zeros(2), num_warmup, kernel_family=family)
+    target = std_normal(2).target
+    window_adaptation(make_key(9), target, np.zeros(2), num_warmup, kernel_family=family)
     assert set(inputs) == {nuts.NutsDraw if family == "nuts" else np.ndarray}
     assert len(inputs) == num_warmup
-    assert blocks == [length for _, length in build_schedule(num_warmup).stages]
+    served = []
+    floats = atoms[0].floats(target.dim)
+    for _ in step_inputs(make_key(9), lambda keys: served.append(len(keys)) or keys, 0, num_warmup, floats):
+        pass
+    assert blocks == served == [256, 144]
 
 
 def test_window_adaptation_rejects_a_position_of_the_wrong_dimension():

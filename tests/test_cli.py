@@ -511,6 +511,7 @@ _BAD_SETTINGS = [
     ["run", "--config", "CONFIG"],
     ["run", "--algorithm", "nuts", "--num-warmup", "10"],
     ["run-smc", "--num-particles", "1"],
+    ["run-smc", "--num-particles", "3"],
 ]
 
 
@@ -529,6 +530,20 @@ def test_a_setting_rejected_while_building_exits_2(tmp_path, capsys, argv):
     assert code == 2
     _assert_one_error_line(capsys.readouterr().err)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _quick_run_args(), _quick_smc_args(), _quick_vi_args(),
+], ids=lambda argv: argv[0])
+def test_an_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code, out_dir = _run_cli(blocker, "out", argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert str(out_dir) in err
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 _OUT_OF_RANGE = st.one_of(

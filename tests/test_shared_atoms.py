@@ -2,7 +2,8 @@
 
 ``core.evaluate`` is the one shape dispatch for target evaluations,
 ``integrator.total_energy`` the one energy rule, ``integrator.momentum_draw``
-the one draw atom of RWM, MALA, HMC and GHMC, and ``proposal.settle`` applies
+the one draw atom of RWM, MALA, HMC and GHMC (normals and a uniform, under
+no metric), and ``proposal.settle`` applies
 each kernel's one accept rule.  An ensemble row must come out bit for bit as
 the single-state call gives it, with the single-state types.
 """
@@ -20,8 +21,12 @@ from mcbricks.integrator import (
     dense_metric,
     diagonal_metric,
     identity_metric,
+    kinetic_energy,
+    leapfrog,
     momentum_draw,
+    scale_momentum,
     total_energy,
+    trajectory,
 )
 from mcbricks.mcmc import ghmc, hmc, mala, rwm
 from mcbricks.proposal import settle
@@ -121,25 +126,75 @@ def test_evaluate_on_a_matrix_is_evaluate_rows():
 def test_the_four_fixed_kernels_share_one_draw_atom():
     target = std_normal(4).target
     keys = key_rows(split_key(make_key(12), 5))
-    rows = momentum_draw()(keys, target)
+    rows = momentum_draw(keys, target)
     assert rows.shape == (5, 5)
     kernels = [
         rwm.build_kernel(0.5), mala.build_kernel(0.1), hmc.build_kernel(0.2, 3), ghmc.build_kernel(0.2),
     ]
+    for kind in ("diagonal", "dense"):
+        metric = _metric(kind, 4)
+        kernels += [hmc.build_kernel(0.2, 3, metric), ghmc.build_kernel(0.2, 0.5, metric)]
     for kernel in kernels:
+        assert kernel.draw is momentum_draw
         assert kernel.draw(keys, target).tobytes() == rows.tobytes()
         for i, (hi, lo) in enumerate(keys.tolist()):
             assert kernel.draw(RngKey(hi, lo), target).tobytes() == rows[i].tobytes()
 
 
+_KEY = st.builds(RngKey, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(_KEY, min_size=1, max_size=5),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["identity", "diagonal", "dense"]),
+)
+def test_every_fixed_kernel_draws_the_atom_records_under_any_metric(keys, dim, kind):
+    target = std_normal(dim).target
+    metric = _metric(kind, dim)
+    block = key_rows(keys)
+    rows = momentum_draw(block, target)
+    kernels = [
+        rwm.build_kernel(0.5), mala.build_kernel(0.1),
+        hmc.build_kernel(0.2, 3, metric), ghmc.build_kernel(0.2, 0.5, metric),
+    ]
+    for kernel in kernels:
+        assert kernel.draw(block, target).tobytes() == rows.tobytes()
+        assert kernel.draw(keys[0], target).tobytes() == momentum_draw(keys[0], target).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
-def test_momentum_draw_under_a_metric_is_what_hmc_draws(kind):
+def test_hmc_and_ghmc_start_from_the_record_normals_scaled_under_their_metric(kind):
+    """A step under a metric starts from ``scale_momentum(record[:-1], metric)``, by key or by record."""
     target = std_normal(3).target
     metric = _metric(kind, 3)
-    keys = key_rows(split_key(make_key(13), 4))
-    atom = momentum_draw(metric)(keys, target)
-    assert atom.tobytes() == hmc.build_kernel(0.2, 3, metric).draw(keys, target).tobytes()
-    assert atom.tobytes() == ghmc.build_kernel(0.2, 0.5, metric).draw(keys, target).tobytes()
+    step_size, num_steps, persistence = 0.4, 3, 0.5
+    state = hmc.init(np.array([0.3, -1.2, 0.8]), target)
+    ghmc_state = ghmc.init(state.position, target, momentum=np.array([0.5, -1.0, 0.25]))
+    hmc_kernel = hmc.build_kernel(step_size, num_steps, metric)
+    ghmc_kernel = ghmc.build_kernel(step_size, persistence, metric)
+    for key in split_key(make_key(13), 6):
+        record = momentum_draw(key, target)
+        momentum = scale_momentum(record[:-1], metric)
+        start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
+        energy_start = -state.logdensity + kinetic_energy(momentum, metric)
+        end = trajectory(start, step_size, metric, target, num_steps)
+        p_accept = min(1.0, math.exp(min(energy_start - total_energy(end, metric), 0.0)))
+        refresh = persistence * ghmc_state.momentum + math.sqrt(1.0 - persistence**2) * momentum
+        ghmc_end = leapfrog(
+            IntegratorState(state.position, refresh, state.logdensity, state.gradient),
+            step_size, metric, target,
+        )
+        for given_input in (key, record):
+            moved, info = hmc_kernel(given_input, state, target)
+            assert info.p_accept == p_accept
+            expected = end.position if info.accepted else state.position
+            assert moved.position.tobytes() == expected.tobytes()
+            moved, info = ghmc_kernel(given_input, ghmc_state, target)
+            expected = ghmc_end if info.accepted else start._replace(momentum=-refresh)
+            assert moved.position.tobytes() == expected.position.tobytes()
+            assert moved.momentum.tobytes() == expected.momentum.tobytes()
 
 
 def _threshold_rule(u, old, new):
