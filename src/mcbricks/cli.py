@@ -17,8 +17,13 @@ serialise on the interpreter lock), so every setting writes the same bytes.
 
 Exit codes: 0 success; 2 configuration error, including a setting the library
 rejects while a run is built (before any sampling) and an output directory
-that cannot be created or written; 3 numerical failure while sampling; 141
-when the reader closes standard output early.
+that cannot be created or written (checked before anything is built, and
+again while writing); 3 numerical failure while sampling; 141 when the
+reader closes standard output early.
+
+``run`` holds its draws once, in one ``(chains, draws, dim)`` array that
+each chain fills as it finishes; the summary and ``samples.csv`` both read
+it.  ``run-smc`` and ``run-vi`` pass their draws as a one-chain view.
 """
 
 from __future__ import annotations
@@ -258,7 +263,8 @@ def _write_csv_rows(handle, leading: tuple, values: np.ndarray) -> None:
         handle.write("".join(parts))
 
 
-def _write_samples_csv(path: Path, chains: list[np.ndarray]) -> None:
+def _write_samples_csv(path: Path, chains) -> None:
+    """Write each chain's ``(draws, dim)`` rows: the rows of a stack, or any sequence."""
     dim = chains[0].shape[1]
     header = "chain,draw," + ",".join(f"dim_{i}" for i in range(dim))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -280,18 +286,19 @@ def _json_ready(value):
     return value
 
 
-def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] = None) -> Path:
+def _write_outputs(args, stack: np.ndarray, infos, started: float,
+                   extras: Optional[dict] = None) -> Path:
     """Write samples.csv and summary.json into ``--output-dir``; return it.
 
-    The draws are summarised first, so a numerical failure there (exit 3)
-    writes no file at all.
+    ``stack`` holds the draws once, shaped ``(chains, draws, dim)``: the
+    summary and samples.csv both read it.  The draws are summarised first,
+    so a numerical failure there (exit 3) writes no file at all.
     """
-    stack = np.stack(chains)
     summary = summarize(stack, infos)
     out_dir = Path(args.output_dir)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_samples_csv(out_dir / "samples.csv", chains)
+        _write_samples_csv(out_dir / "samples.csv", stack)
     per_dim = [
         [summary.mean[d], summary.std[d], summary.ess[d], summary.rhat[d]]
         for d in range(stack.shape[2])
@@ -310,6 +317,20 @@ def _write_outputs(args, chains, infos, started: float, extras: Optional[dict] =
         json.dump(_json_ready(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return out_dir
+
+
+def _check_output_dir(path: str) -> None:
+    """Raise a ``ConfigError`` unless ``--output-dir`` can be made and written.
+
+    The nearest existing path among ``path`` and its parents must be a
+    directory this process may write and enter.  Nothing is created: the
+    check runs before a run is built, so a bad directory costs no sampling.
+    """
+    nearest = os.path.abspath(path)
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not (os.path.isdir(nearest) and os.access(nearest, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--output-dir {path!r}: {nearest!r} is not a writable directory")
 
 
 @contextlib.contextmanager
@@ -375,8 +396,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if adapted:
             adaptation.check_settings(args.num_warmup, args.target_accept)
 
-    def run_one_chain(chain_key: RngKey) -> tuple[np.ndarray, list]:
-        key_warmup, key_sampling = split_key(chain_key, 2)
+    # Each chain writes its draws into its row as it finishes.
+    stack = np.empty((args.num_chains, args.num_samples, target.dim))
+    infos = []
+    for c in range(args.num_chains):
+        key_warmup, key_sampling = split_key(fold_in(key_run, c), 2)
         algorithm = shared
         if adapted:
             result = window_adaptation(
@@ -391,14 +415,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             state = algorithm.init(np.zeros(target.dim))
             state, _, _ = run_chain(key_warmup, algorithm.step, state, args.num_warmup)
-        _, infos, positions = run_chain(key_sampling, algorithm.step, state, args.num_samples)
-        return positions, infos
-
-    results = [run_one_chain(fold_in(key_run, c)) for c in range(args.num_chains)]
-    chains = [positions for positions, _ in results]
-    infos = [info for _, chain_infos in results for info in chain_infos]
+        _, chain_infos, stack[c] = run_chain(key_sampling, algorithm.step, state, args.num_samples)
+        infos += chain_infos
     extras = {"nuts": _tree_counters(infos, args.max_depth)} if args.algorithm == "nuts" else None
-    _write_outputs(args, chains, infos, started, extras)
+    _write_outputs(args, stack, infos, started, extras)
     return 0
 
 
@@ -442,7 +462,7 @@ def _cmd_run_smc(args: argparse.Namespace) -> int:
         extras["smc"]["analytic_log_evidence"] = conjugate_gaussian_log_evidence(
             details["observations"]
         )
-    _write_outputs(args, [result.ensemble.particles], None, started, extras)
+    _write_outputs(args, result.ensemble.particles[None], None, started, extras)
     return 0
 
 
@@ -466,7 +486,7 @@ def _cmd_run_vi(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         draws = algorithm.sample(fold_in(key_run, args.num_steps), state, args.num_draws)
     extras = {"vi": {"final_elbo": float(elbo_trace[-1])}}
-    out_dir = _write_outputs(args, [draws], None, started, extras)
+    out_dir = _write_outputs(args, draws[None], None, started, extras)
     with _writing(out_dir):
         with open(out_dir / "elbo_trace.csv", "w", encoding="utf-8", newline="\n") as handle:
             handle.write("step,elbo\n")
@@ -488,6 +508,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config_file(parser, registry[args.command], argv, args)
+        if hasattr(args, "output_dir"):
+            _check_output_dir(args.output_dir)
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -43,25 +43,27 @@ def _validate(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _split_halves(stack: np.ndarray) -> np.ndarray:
-    half = stack.shape[1] // 2
-    return np.concatenate([stack[:, :half, :], stack[:, -half:, :]], axis=0)
-
-
 def split_rhat(stack: np.ndarray) -> np.ndarray:
     """Potential scale reduction over half-chains, per dimension.
 
     With W the mean within-half-chain variance and B/n the variance of
     half-chain means, returns ``sqrt((W * (n-1)/n + B/n) / W)``.  Values
     near 1 indicate the half-chains agree in location and spread.
+
+    The half-chains are the views ``stack[:, :n]`` and ``stack[:, -n:]``
+    (the middle draw of an odd count is in neither).  Only their
+    ``(num_chains, dim)`` variances and means are joined, first halves
+    first, so the draws are never copied; the reduced axis is not the
+    innermost one, so each sum adds whole rows in draw order and the bits
+    are those of reducing a joined copy.
     """
-    halves = _split_halves(_validate(stack))
-    n = halves.shape[1]
-    within = np.var(halves, axis=1, ddof=1)
-    w = np.mean(within, axis=0)
+    stack = _validate(stack)
+    n = stack.shape[1] // 2
+    halves = (stack[:, :n], stack[:, -n:])
+    w = np.mean(np.concatenate([np.var(half, axis=1, ddof=1) for half in halves]), axis=0)
     if np.any(w == 0.0):
         raise DegenerateChainsError("zero within-chain variance")
-    means = np.mean(halves, axis=1)
+    means = np.concatenate([np.mean(half, axis=1) for half in halves])
     between_over_n = np.var(means, axis=0, ddof=1)
     pooled = (n - 1) / n * w + between_over_n
     return np.sqrt(pooled / w)

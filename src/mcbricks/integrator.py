@@ -22,7 +22,8 @@ from one key.
 kernels: per step key, standard normals and one uniform, with no metric,
 so one record serves every step size and metric.  HMC and GHMC scale the
 normals under their metric (:func:`scale_momentum`), as NUTS does.
-:func:`kernel_draws` gives a kernel the records it moves under.
+:func:`kernel_draws` gives a kernel the records it moves a state or an
+ensemble under, and checks the key's form against the state's rows.
 
 ``kinetic_energy`` checks the momentum against the metric; the energy
 rules of the kernels skip that check on every leapfrog.  A metric meets its
@@ -206,28 +207,34 @@ def momentum_draw(keys: Union[RngKey, np.ndarray], target: Target) -> np.ndarray
 momentum_draw.floats = lambda dim: dim + 1
 
 
-def kernel_draws(key: Any, target: Target, ensemble: bool = True) -> np.ndarray:
-    """The :func:`momentum_draw` records a fixed kernel moves under.
+def kernel_draws(key: Any, state: Any, target: Target) -> np.ndarray:
+    """The :func:`momentum_draw` records a fixed kernel moves ``state`` under.
 
-    An :class:`RngKey` gives its one row, which the atom draws with the
-    scalar RNG functions: a one-row array draw costs several times a whole
-    RWM step.  A ``float64`` row of ``target.dim + 1`` values is taken as
-    already drawn.  With ``ensemble``, an ``(n, 2)`` ``uint64`` key array
-    gives one row per key, a 2-D array.  Anything else raises
-    ``TypeError``: a ``uint64`` key row, for one, is a key and not
-    randomness.
+    The rows follow the state's positions.  One state (a ``(dim,)``
+    position) takes an :class:`RngKey`, whose one row the atom draws with
+    the scalar RNG functions (a one-row array draw costs several times a
+    whole RWM step), or a ``float64`` row of ``target.dim + 1`` values,
+    taken as already drawn.  An ensemble of ``n`` states (``(n, dim)``
+    positions) takes an ``(n, 2)`` ``uint64`` key array and gets one row
+    per key, a 2-D array.  Anything else raises a ``TypeError`` naming the
+    expected and the given shape: a ``uint64`` key row, for one, is a key
+    and not randomness, and a key array of another length would move the
+    rows under the wrong randomness.
     """
-    if not isinstance(key, np.ndarray):
+    rows = state.position.shape[:-1]
+    if rows:
+        if isinstance(key, np.ndarray) and key.dtype == np.uint64 and key.shape == (*rows, 2):
+            return momentum_draw(key, target)
+        expected = f"a uint64 key array of shape {(*rows, 2)} for an ensemble of {rows[0]} states"
+    elif not isinstance(key, np.ndarray):
         return momentum_draw(key, target)
-    if key.dtype == np.float64 and key.shape == (target.dim + 1,):
+    elif key.dtype == np.float64 and key.shape == (target.dim + 1,):
         return key
-    if ensemble and key.dtype == np.uint64 and key.ndim == 2 and key.shape[1] == 2:
-        return momentum_draw(key, target)
-    expected = "an RngKey, an (n, 2) uint64 key array" if ensemble else "an RngKey"
-    raise TypeError(
-        f"kernel key must be {expected} or a float64 row of {target.dim + 1} pre-drawn "
-        f"values, not a {key.dtype} array of shape {key.shape}"
-    )
+    else:
+        expected = f"an RngKey or a float64 row of {target.dim + 1} pre-drawn values for one state"
+    given = (f"a {key.dtype} array of shape {key.shape}" if isinstance(key, np.ndarray)
+             else f"a key of type {type(key).__name__}")
+    raise TypeError(f"kernel key must be {expected}, not {given}")
 
 
 def total_energy(state: IntegratorState, metric: Metric) -> float:

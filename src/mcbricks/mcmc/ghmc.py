@@ -85,8 +85,10 @@ def build_kernel(
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: standard normals, which the
     kernel scales into the refresh momentum under ``metric``, then the slice
-    uniform (see :func:`~mcbricks.integrator.kernel_draws`).  The kernel
-    steps one state only.
+    uniform.  The kernel steps one state only, under an ``RngKey`` or a
+    pre-drawn row (:func:`~mcbricks.integrator.kernel_draws` checks the
+    key); an ensemble state raises the ``TypeError`` a key of the wrong form
+    raises.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -98,7 +100,12 @@ def build_kernel(
 
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        draws = kernel_draws(key, target, ensemble=False)
+        if state.position.ndim != 1:
+            raise TypeError(
+                f"kernel key must be an RngKey or a float64 row of {target.dim + 1} values for "
+                f"one state: GHMC steps one state, not positions of shape {state.position.shape}"
+            )
+        draws = kernel_draws(key, state, target)
         refresh = scale_momentum(draws[:-1], kernel_metric)
         momentum = persistence * state.momentum + refresh_scale * refresh
         energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)

@@ -49,8 +49,10 @@ def build_kernel(
 
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: standard normals, which the
-    kernel scales into a momentum under ``metric``, then the accept uniform
-    (see :func:`~mcbricks.integrator.kernel_draws`).
+    kernel scales into a momentum under ``metric``, then the accept uniform.
+    The key is an ``RngKey`` or a pre-drawn row for one state and an
+    ``(n, 2)`` key array for an ensemble of ``n``;
+    :func:`~mcbricks.integrator.kernel_draws` checks it against the state.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -69,7 +71,7 @@ def build_kernel(
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
         kernel_metric = metric if metric is not None else identity_metric(target.dim)
-        draws = kernel_draws(key, target)
+        draws = kernel_draws(key, state, target)
         momentum = scale_momentum(draws[..., :-1], kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
         energy_start = -state.logdensity + _kinetic_energy(momentum, kernel_metric)

@@ -53,7 +53,10 @@ def build_kernel(
 
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: the proposal normals, then
-    the accept uniform (see :func:`~mcbricks.integrator.kernel_draws`).
+    the accept uniform.
+    The key is an ``RngKey`` or a pre-drawn row for one state and an
+    ``(n, 2)`` key array for an ensemble of ``n``;
+    :func:`~mcbricks.integrator.kernel_draws` checks it against the state.
     """
     if step_size <= 0.0:
         raise ValueError("step size must be strictly positive")
@@ -69,7 +72,7 @@ def build_kernel(
         return accepted, AcceptanceInfo(p_accept, accepted, divergent, -(new if accepted else old))
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
-        draws = kernel_draws(key, target)
+        draws = kernel_draws(key, state, target)
         position = state.position + step_size * state.gradient + noise_scale * draws[..., :-1]
         logdensity, gradient = evaluate(position, target.logdensity, target.gradient)
         columns = (state.logdensity, logdensity, np.isfinite(gradient).all(axis=-1),

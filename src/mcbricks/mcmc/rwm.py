@@ -41,7 +41,10 @@ def build_kernel(
 
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: the proposal normals, then
-    the accept uniform (see :func:`~mcbricks.integrator.kernel_draws`).
+    the accept uniform.
+    The key is an ``RngKey`` or a pre-drawn row for one state and an
+    ``(n, 2)`` key array for an ensemble of ``n``;
+    :func:`~mcbricks.integrator.kernel_draws` checks it against the state.
     """
     scale = np.asarray(proposal_scale, dtype=float)
     if not np.all(scale > 0.0):
@@ -52,7 +55,7 @@ def build_kernel(
         return accepted, AcceptanceInfo(p_accept, accepted, False, -(new if accepted else old))
 
     def kernel(key: RngKey, state: RwmState, target: Target) -> tuple[RwmState, AcceptanceInfo]:
-        draws = kernel_draws(key, target)
+        draws = kernel_draws(key, state, target)
         position = state.position + scale * draws[..., :-1]
         logdensity = evaluate(position, target.logdensity)[0]
         proposed = RwmState(position, logdensity)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mcbricks import cli
 from mcbricks.cli import main
 from mcbricks.core import run_chain
 from mcbricks.mcmc import ghmc, mala, rwm
@@ -544,6 +546,48 @@ def test_an_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys, argv):
     _assert_one_error_line(err)
     assert str(out_dir) in err
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("below", ["", "out"], ids=["a_file", "below_a_file"])
+@pytest.mark.parametrize("argv", [
+    _quick_run_args(), _quick_run_args(algorithm="nuts"), _quick_smc_args(), _quick_vi_args(),
+], ids=["run-rwm", "run-nuts", "run-smc", "run-vi"])
+def test_an_unwritable_output_dir_exits_2_before_anything_is_built(
+    tmp_path, capsys, monkeypatch, argv, below
+):
+    # A regular file in the way: os.access grants root write everywhere,
+    # but no one can make a directory inside a file.
+    def reached(*args, **kwargs):
+        raise AssertionError("sampling started with an unwritable --output-dir")
+
+    for name in ("run_chain", "window_adaptation", "run_tempered_smc", "make_builtin",
+                 "make_tempered"):
+        monkeypatch.setattr(cli, name, reached)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code, out_dir = _run_cli(blocker, below, argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "--output-dir" in err and str(out_dir) in err
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_run_holds_its_draws_once(tmp_path):
+    # The draws' bytes of 2 chains x 3001 draws in 40 dimensions.
+    draws_bytes = 2 * 3001 * 40 * 8
+    argv = ["run", "--target", "std_normal", "--dim", "40", "--algorithm", "mala",
+            "--step-size", "0.05", "--num-warmup", "100", "--num-samples", "3001",
+            "--num-chains", "2", "--seed", "3", "--output-dir", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3.5 * draws_bytes, peak / draws_bytes
 
 
 _OUT_OF_RANGE = st.one_of(

@@ -1,10 +1,12 @@
 """Tests for convergence diagnostics and the run summary."""
 
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcbricks.diagnostics import (
     DegenerateChainsError,
@@ -72,6 +74,43 @@ def test_rhat_is_affine_invariant():
 def test_rhat_rejects_constant_chains():
     with pytest.raises(DegenerateChainsError):
         split_rhat(np.ones((2, 100, 1)))
+
+
+def _reference_split_rhat(stack):
+    """Split-R-hat as joined half-chains, reduced as one copy."""
+    half = stack.shape[1] // 2
+    halves = np.concatenate([stack[:, :half, :], stack[:, -half:, :]], axis=0)
+    n = halves.shape[1]
+    w = np.mean(np.var(halves, axis=1, ddof=1), axis=0)
+    between_over_n = np.var(np.mean(halves, axis=1), axis=0, ddof=1)
+    return np.sqrt(((n - 1) / n * w + between_over_n) / w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chains=st.integers(1, 8), draws=st.integers(4, 400), dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3), shift=st.floats(-1e4, 1e4),
+)
+def test_rhat_equals_the_joined_halves_form_bit_for_bit(chains, draws, dim, seed, scale, shift):
+    stack = shift + scale * _iid_stack(seed, chains, draws, dim)
+    assert split_rhat(stack).tobytes() == _reference_split_rhat(stack).tobytes()
+    # An integer constant: its half-chain means are exact, so the variance is 0.
+    stack[:, :, dim // 2] = round(shift)
+    with pytest.raises(DegenerateChainsError):
+        split_rhat(stack)
+
+
+def test_rhat_reads_the_half_chains_without_copying_the_draws():
+    stack = _iid_stack(4, 4, 10_000, 50)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        split_rhat(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * stack.nbytes, peak / stack.nbytes
 
 
 def test_rhat_validates_shape():

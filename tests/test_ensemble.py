@@ -373,6 +373,36 @@ def test_kernel_rejects_a_key_array_that_is_not_its_randomness(family):
             kernel(key, state, target)
 
 
+@pytest.mark.parametrize("family", ["rwm", "mala", "hmc", "ghmc"])
+def test_kernel_rejects_a_key_that_does_not_match_the_rows_of_its_state(family):
+    # One row of randomness per row of the state: a key array of another
+    # length, or a key of the other form, would move the rows under the
+    # wrong randomness, so it raises instead.
+    target = std_normal(3).target
+    init_fn, kernel = _build(family, 0.3, "identity", 2, target.dim, 7)
+    positions = np.linspace(-1.0, 1.0, 5 * target.dim).reshape(5, target.dim)
+    ensemble, one = init_fn(positions, target), init_fn(positions[0], target)
+    keys = key_rows(split_key(make_key(3), 5))
+    bad = [(keys[:1], ensemble), (keys[:4], ensemble), (keys[:2], one), (make_key(3), ensemble)]
+    if family == "ghmc":
+        bad.append((keys, ensemble))  # GHMC steps one state only
+    else:
+        assert kernel(keys, ensemble, target)[0].position.shape == positions.shape
+    for key, state in bad:
+        with pytest.raises(TypeError, match="kernel key must be") as raised:
+            kernel(key, state, target)
+        message = str(raised.value)
+        if state is one or family == "ghmc":
+            assert f"float64 row of {target.dim + 1}" in message
+        else:
+            assert "key array of shape (5, 2)" in message
+        if state is one or family != "ghmc":
+            given = key.shape if isinstance(key, np.ndarray) else type(key).__name__
+            assert str(given) in message
+        else:
+            assert str(positions.shape) in message
+
+
 # ------------------------------------------------------------- smc_step
 
 
