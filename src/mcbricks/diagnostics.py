@@ -43,12 +43,25 @@ def _validate(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _has_constant_dimension(stack: np.ndarray) -> bool:
+    """Whether every draw of some dimension is equal.
+
+    Variances alone miss it: a mean like ``0.1`` is not exact, so a constant
+    half-chain can read a variance of a few ulp.  One reduction over the
+    draw axes of the whole stack is several times faster than one per
+    strided dimension.
+    """
+    return bool(np.any(np.ptp(stack, axis=(0, 1)) == 0.0))
+
+
 def split_rhat(stack: np.ndarray) -> np.ndarray:
     """Potential scale reduction over half-chains, per dimension.
 
     With W the mean within-half-chain variance and B/n the variance of
     half-chain means, returns ``sqrt((W * (n-1)/n + B/n) / W)``.  Values
-    near 1 indicate the half-chains agree in location and spread.
+    near 1 indicate the half-chains agree in location and spread.  A
+    zero ``W`` or a dimension whose draws are all equal raises
+    :class:`DegenerateChainsError`.
 
     The half-chains are the views ``stack[:, :n]`` and ``stack[:, -n:]``
     (the middle draw of an odd count is in neither).  Only their
@@ -58,6 +71,8 @@ def split_rhat(stack: np.ndarray) -> np.ndarray:
     are those of reducing a joined copy.
     """
     stack = _validate(stack)
+    if _has_constant_dimension(stack):
+        raise DegenerateChainsError("zero within-chain variance")
     n = stack.shape[1] // 2
     halves = (stack[:, :n], stack[:, -n:])
     w = np.mean(np.concatenate([np.var(half, axis=1, ddof=1) for half in halves]), axis=0)
@@ -110,9 +125,12 @@ def effective_sample_size(stack: np.ndarray) -> np.ndarray:
     Combines all chains' autocovariances plus the between-chain variance,
     truncates the autocorrelation sum with Geyer's initial monotone
     positive sequence, and clips the result to
-    ``[1, num_chains * num_draws]``.
+    ``[1, num_chains * num_draws]``.  A dimension whose draws are all
+    equal raises :class:`DegenerateChainsError`.
     """
     stack = _validate(stack)
+    if _has_constant_dimension(stack):
+        raise DegenerateChainsError("zero variance in chains")
     return np.array(
         [_ess_single_dim(stack[:, :, d]) for d in range(stack.shape[2])]
     )

@@ -267,3 +267,31 @@ def test_non_finite_draws_are_degenerate(diagnostic, bad):
     stack[1, 17, 2] = bad
     with pytest.raises(DegenerateChainsError, match="NaN or infinite"):
         diagnostic(stack)
+
+
+# ------------------------------------------------------------- constant dimensions
+#
+# A constant whose value is not exact in its mean (0.1, 0.001) leaves a
+# within-half variance of a few ulp, so the variance alone does not see it.
+
+
+@pytest.mark.parametrize("stack", [np.full((4, 1000, 2), 0.1), np.full((1, 20, 1), 0.001)],
+                         ids=["0.1", "0.001"])
+@pytest.mark.parametrize("diagnostic", [summarize, split_rhat, effective_sample_size],
+                         ids=lambda fn: fn.__name__)
+def test_a_constant_dimension_is_degenerate_whatever_its_value(diagnostic, stack):
+    with pytest.raises(DegenerateChainsError):
+        diagnostic(stack)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    value=st.floats(-1e300, 1e300), chains=st.integers(1, 5), draws=st.integers(4, 300),
+    dim=st.integers(1, 4), data=st.data(),
+)
+def test_a_constant_dimension_beside_varying_ones_is_degenerate(value, chains, draws, dim, data):
+    stack = _iid_stack(data.draw(st.integers(0, 2**32 - 1)), chains, draws, dim)
+    stack[:, :, data.draw(st.integers(0, dim - 1))] = value
+    for diagnostic in (split_rhat, effective_sample_size):
+        with pytest.raises(DegenerateChainsError):
+            diagnostic(stack)

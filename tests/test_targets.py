@@ -5,6 +5,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +379,40 @@ def test_sigmoid_matches_the_masked_reference_bitwise():
         assert scores.tobytes() == before.tobytes()  # input left alone
 
 
+def _two_branch_sigmoid(scores):
+    """The textbook sigmoid: ``1 / (1 + t)`` for ``s >= 0``, ``t / (1 + t)`` otherwise."""
+    t = np.exp(np.minimum(scores, -scores))
+    return np.where(scores >= 0, 1 / (1 + t), t / (1 + t))
+
+
+_SIGMOID_SPECIALS = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308,
+    5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308, 1e-310, -1e-310,
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=st.integers(1, 120), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 30.0, 800.0, 1e308]),
+       specials=st.lists(st.integers(0, len(_SIGMOID_SPECIALS) - 1), max_size=40))
+def test_sigmoid_is_the_two_branch_form_bit_for_bit(num, seed, scale, specials):
+    """Hypothesis-drawn (n, 200) blocks, with special values scattered in them."""
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        scores = rng.normal(size=(num, LOGISTIC_NUM_POINTS)) * scale
+        for index in specials:
+            scores.flat[rng.integers(scores.size)] = _SIGMOID_SPECIALS[index]
+        scores = np.concatenate([scores, np.resize(_SIGMOID_SPECIALS, (1, LOGISTIC_NUM_POINTS))])
+        before = scores.copy()
+        want = _two_branch_sigmoid(scores).tobytes()
+        assert _sigmoid(scores).tobytes() == want
+        t = np.exp(np.minimum(scores, -scores))
+        out = np.full_like(scores, 7.0)
+        assert _sigmoid(scores, t, out=out) is out
+        assert out.tobytes() == want
+    assert scores.tobytes() == before.tobytes()  # input left alone
+
+
 @pytest.mark.parametrize("order", ["density_first", "gradient_first", "repeated"])
 def test_logistic_single_positions_match_the_reference_in_any_call_order(order):
     """Density and gradient at one position match the reference, whichever is asked first."""
@@ -453,6 +488,75 @@ def test_logistic_single_positions_match_for_threads_sharing_one_target():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == [0] * len(banks)
+
+
+def test_logistic_blocks_and_positions_match_for_threads_sharing_one_target():
+    """Threads interleave blocks of 100 and 7 rows and single positions on one target.
+
+    Each call writes its temporaries into a block of its own, so every
+    thread gets the reference's values everywhere.
+    """
+    key = make_key(5)
+    ref, _, _ = _reference_targets(key, 1.0)
+    got = make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, key).target
+    banks = [np.array(_positions_with_extreme_scores(seed, count=92)) for seed in (7, 8, 9, 10)]
+    with np.errstate(all="ignore"):
+        expected = [(np.array([ref.logdensity(w) for w in bank]),
+                     np.array([ref.gradient(w) for w in bank])) for bank in banks]
+    mismatches = [0] * len(banks)
+
+    def check(index, have, want):
+        mismatches[index] += _bits(have) != _bits(want)
+
+    def worker(index):
+        bank, (densities, gradients) = banks[index], expected[index]
+        with np.errstate(all="ignore"):
+            for _ in range(5):
+                have = got.logdensity.rows(bank, True)
+                check(index, have[0], densities)
+                check(index, have[1], gradients)
+                check(index, got.logdensity.rows(bank, False)[0], densities)
+                for start in range(0, bank.shape[0] - 6, 7):
+                    have = got.logdensity.rows(bank[start:start + 7], True)
+                    check(index, have[0], densities[start:start + 7])
+                    check(index, have[1], gradients[start:start + 7])
+                for i in range(0, bank.shape[0], 9):
+                    check(index, got.logdensity(bank[i]), densities[i])
+                    check(index, got.gradient(bank[i]), gradients[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(banks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == [0] * len(banks)
+
+
+def test_a_logistic_block_of_100_rows_peaks_below_five_of_its_temporaries():
+    """One density-and-gradient call writes its temporaries into one block.
+
+    Six separate (100, 200) temporaries took the traced peak to about 5.4
+    of them; one (4, 100, 200) block and the returned arrays stay below 5.
+    """
+    rows = make_builtin("logistic_synth", LOGISTIC_NUM_FEATURES, make_key(2)).target.logdensity.rows
+    num = 100
+    weights = np.random.default_rng(3).normal(size=(num, LOGISTIC_NUM_FEATURES))
+    temporary = num * LOGISTIC_NUM_POINTS * 8
+    rows(weights, True)  # warm-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rows(weights, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * temporary, peak / temporary
 
 
 # ------------------------------------------------- row forms

@@ -12,8 +12,9 @@ differs.
 The lines are the benchmark's workloads (``WORKLOADS`` in ``bench/run.py``,
 imported read-only) at each of ``--seeds``; the same workloads at a few more
 seeds; and lines no workload covers: an odd draw count, one chain, GHMC, a
-dense metric, SMC with MALA moves, VI on the funnel, and a run that fails
-numerically (exit 3).
+dense metric, SMC with MALA moves, VI on the funnel, a run that fails
+numerically (exit 3), and ``logistic_synth`` at other block sizes (1,000
+density-only particles, 37 particles with gradients, NUTS's blocks of one).
 
 Usage: python tools/compare_outputs.py OLD_TREE NEW_TREE [--seeds 1 2]
 
@@ -49,6 +50,10 @@ EXTRA_LINES = (
     "run-vi --target funnel --dim 3 --seed 2",
     "run --target logistic_synth --algorithm mala --num-warmup 200 --num-samples 200 "
     "--num-chains 2 --seed 1",
+    "run-smc --target logistic_synth --seed 3",
+    "run-smc --target logistic_synth --num-particles 37 --mutation mala --seed 2",
+    "run --target logistic_synth --algorithm nuts --num-warmup 150 --num-samples 150 "
+    "--num-chains 1 --seed 2",
 )
 
 
