@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import GradientState, Target, bound_draw, init, step_inputs
+from .core import GradientState, Target, _positive, bind, init, step_inputs
 from .integrator import (
     IntegratorState,
     Metric,
@@ -90,9 +90,11 @@ class StepSizeSearchError(RuntimeError):
 
 
 def da_init(initial_step: float) -> DualAveragingState:
-    """Start dual averaging at ``initial_step``, anchored at 10x it."""
-    if initial_step <= 0.0:
-        raise ValueError("initial step size must be strictly positive")
+    """Start dual averaging at ``initial_step``, anchored at 10x it.
+
+    ``initial_step`` must be positive and finite (``ValueError`` otherwise).
+    """
+    _positive("initial step size", initial_step)
     return DualAveragingState(
         log_step=math.log(initial_step),
         log_step_avg=0.0,
@@ -217,10 +219,10 @@ def find_reasonable_step_size(
     two in the direction that brings the ratio toward 0.5.  The search
     runs over the whole double range: it raises :class:`StepSizeSearchError`
     only when the next trial step would overflow to infinity or underflow
-    to zero without a crossing.
+    to zero without a crossing.  ``initial`` must be positive and finite
+    (``ValueError`` otherwise).
     """
-    if initial <= 0.0:
-        raise ValueError("initial step size must be strictly positive")
+    _positive("initial step size", initial)
     momentum = sample_momentum(key, metric)
     start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
     energy_start = -start.logdensity + _kinetic_energy(momentum, metric)
@@ -304,7 +306,7 @@ def window_adaptation(
     da = da_init(step_size)
     schedule = build_schedule(num_warmup)
     # Iteration i runs under fold_in(key_run, i), whatever its stage.
-    draw = bound_draw(build(step_size, metric), target)
+    draw = bind(target, init, build(step_size, metric)).step.draw
     records = step_inputs(key_run, draw, 0, num_warmup, draw.floats)
     boundary = 0
     welford: Optional[WelfordState] = None

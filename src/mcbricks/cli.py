@@ -201,6 +201,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subcommands.choices
 
 
+# The fewest draws (per chain, particles, VI draws) the diagnostics accept.
+_MIN_DRAWS = 4
+
+
+def _at_least(flag: str, value: int, minimum: int) -> None:
+    """Raise a ``ConfigError`` naming ``flag`` unless its count ``value`` is at least ``minimum``."""
+    if value < minimum:
+        raise ConfigError(f"{flag} must be at least {minimum}, not {value}")
+
+
 def _root_keys(args: argparse.Namespace) -> list[RngKey]:
     """``make_key(--seed)`` split into (data key, run key)."""
     if args.seed is None:
@@ -376,14 +386,10 @@ def _building():
 def _cmd_run(args: argparse.Namespace) -> int:
     key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "std_normal")
-    if args.num_samples < 4:
-        raise ConfigError("--num-samples must be at least 4 for diagnostics")
-    if args.num_chains < 1:
-        raise ConfigError("--num-chains must be positive")
-    if args.num_warmup < 0:
-        raise ConfigError("--num-warmup must be non-negative")
-    if args.chain_workers < 1:
-        raise ConfigError("--chain-workers must be positive")
+    _at_least("--num-samples", args.num_samples, _MIN_DRAWS)
+    _at_least("--num-chains", args.num_chains, 1)
+    _at_least("--num-warmup", args.num_warmup, 0)
+    _at_least("--chain-workers", args.chain_workers, 1)
     if args.algorithm == "nuts" and args.max_depth == 0:
         raise ConfigError("--max-depth must be at least 1 for nuts: a depth-0 tree never moves")
     started = time.perf_counter()
@@ -432,8 +438,7 @@ def _tree_counters(infos: list, max_depth: int) -> dict:
 def _cmd_run_smc(args: argparse.Namespace) -> int:
     key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "gauss_conjugate")
-    if args.num_particles < 4:
-        raise ConfigError("--num-particles must be at least 4 for diagnostics")
+    _at_least("--num-particles", args.num_particles, _MIN_DRAWS)
     started = time.perf_counter()
 
     def mutation(target) -> SamplingAlgorithm:
@@ -469,10 +474,8 @@ def _cmd_run_smc(args: argparse.Namespace) -> int:
 def _cmd_run_vi(args: argparse.Namespace) -> int:
     key_data, key_run = _root_keys(args)
     name, dim = _resolve_target_dim(args, "std_normal")
-    if args.num_steps < 1:
-        raise ConfigError("--num-steps must be positive")
-    if args.num_draws < 4:
-        raise ConfigError("--num-draws must be at least 4 for diagnostics")
+    _at_least("--num-steps", args.num_steps, 1)
+    _at_least("--num-draws", args.num_draws, _MIN_DRAWS)
     started = time.perf_counter()
     with _building():
         target = make_builtin(name, dim, data_key=key_data).target

@@ -17,10 +17,11 @@ MALA, HMC and GHMC share one atom
 row of normals and a uniform; NUTS fixes every number a tree could use from
 the key before it builds the tree (:func:`mcbricks.mcmc.nuts.build_kernel`).
 An atom's ``floats(dim)`` is the size of its record.  :func:`bind` hands
-the atom on to the step, and :func:`step_inputs` serves the steps of a
-chain a block at a time; :func:`run_chain` and warmup draw through it.  The
-fixed kernels step one state or an ensemble with one body, :func:`evaluate`
-being the one place that tells the two shapes apart for the target.
+the atom on to the step, bound to the target, and :func:`step_inputs`
+serves the steps of a chain a block at a time; :func:`run_chain` and
+warmup draw through it.  The fixed kernels step one state or an ensemble
+with one body, :func:`evaluate` being the one place that tells the two
+shapes apart for the target.
 
 A target callable may carry a *row form* as its ``rows`` attribute:
 ``logdensity.rows(positions, with_gradient)`` returns the densities and
@@ -37,6 +38,7 @@ counter, a penalty, a tempered closure) sees every position.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Optional
@@ -57,7 +59,6 @@ __all__ = [
     "evaluate_rows",
     "fused_callables",
     "bind",
-    "bound_draw",
     "step_inputs",
     "run_chain",
     "gradient_discrepancy",
@@ -266,31 +267,31 @@ def fused_callables(
 def bind(target: Target, init: Callable[..., Any], kernel: Callable[..., tuple]) -> SamplingAlgorithm:
     """Package ``init(position, target)`` and ``kernel(key, state, target)``.
 
-    When the kernel has a draw atom, the step gets it as ``step.draw(keys)``,
-    bound to ``target`` (see :func:`bound_draw`).
+    When the kernel has a draw atom, the step gets it bound to ``target`` as
+    ``step.draw(keys)``, which maps a key array to its records; its
+    ``floats`` is the size of one record, which :func:`step_inputs` caps
+    blocks by.
     """
 
     def step(key, state):
         return kernel(key, state, target)
 
-    draw = bound_draw(kernel, target)
+    draw = getattr(kernel, "draw", None)
     if draw is not None:
-        step.draw = draw
+        step.draw = partial(draw, target=target)
+        step.draw.floats = draw.floats(target.dim)
     return SamplingAlgorithm(init=partial(init, target=target), step=step)
 
 
-def bound_draw(kernel: Callable, target: Target) -> Optional[Callable]:
-    """``kernel``'s draw atom bound to ``target``, or ``None`` if it has none.
+def _positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite.
 
-    The bound atom maps a key array to its records; its ``floats`` is the
-    size of one record, which :func:`step_inputs` caps blocks by.
+    The rule of every step size and learning rate: NaN, the infinities and
+    zeros of both signs are rejected where a kernel or optimizer is built.
+    A plain comparison, cheap enough for a kernel built on every warmup step.
     """
-    draw = getattr(kernel, "draw", None)
-    if draw is None:
-        return None
-    bound = partial(draw, target=target)
-    bound.floats = draw.floats(target.dim)
-    return bound
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
 class ChainError(RuntimeError):
@@ -312,7 +313,7 @@ def step_inputs(key: RngKey, draw: Optional[Callable], start: int, stop: int, fl
 
     Step ``i`` belongs to ``fold_in(key, i)``.  The keys are derived a block
     at a time with :func:`~mcbricks.rng.fold_in_range`, and with a draw atom
-    (``draw(keys)``, as :func:`bound_draw` gives it) each block's records
+    (``draw(keys)``, as :func:`bind` gives it to a step) each block's records
     are drawn in one call: the input is the step's record, which moves the
     kernel exactly as its key would.  Without one the input is the key as
     an :class:`RngKey`.  A block holds at most ``_BLOCK_STEPS`` steps and

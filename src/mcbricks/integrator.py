@@ -26,14 +26,15 @@ normals under their metric (:func:`scale_momentum`), as NUTS does.
 ensemble under, and checks the key's form against the state's rows.
 
 ``kinetic_energy`` checks the momentum against the metric; the energy
-rules of the kernels skip that check on every leapfrog.  A metric meets its
-target once, when an algorithm is built (:func:`check_metric`), and is
-checked there.
+rules of the kernels skip that check on every leapfrog.  A metric is
+checked against its target by :func:`check_metric`, once per kernel step
+and once when an algorithm is built, so a metric of the wrong size never
+reaches a leapfrog.
 """
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple, Union
+from typing import Any, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -133,16 +134,19 @@ def _matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return matrix @ vectors if vectors.ndim == 1 else _row_matvec(matrix, vectors)
 
 
-def check_metric(metric: Metric, dim: int) -> None:
-    """Raise ``ValueError`` unless ``metric`` acts on ``dim`` coordinates.
+def check_metric(metric: Optional[Metric], dim: int) -> Metric:
+    """``metric`` once it is checked to act on ``dim`` coordinates; ``None`` gives the identity.
 
-    Without this check a metric of the wrong size would broadcast silently
-    against the positions it moves.
+    Raises ``ValueError`` for a metric of another size, which would
+    otherwise broadcast silently against the positions it moves.
     """
+    if metric is None:
+        return identity_metric(dim)
     if metric.inverse_mass.shape[0] != dim:
         raise ValueError(
             f"metric dimension {metric.inverse_mass.shape[0]} does not match target dimension {dim}"
         )
+    return metric
 
 
 def kinetic_energy(momentum: np.ndarray, metric: Metric) -> float:

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .. import core
-from ..core import AcceptanceInfo, SamplingAlgorithm, Target, bind
+from ..core import AcceptanceInfo, SamplingAlgorithm, Target, _positive, bind
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -81,6 +81,9 @@ def build_kernel(
     0 refreshes fully, values near 1 keep momentum across steps.
     ``slice_jitter`` in [0, 1] controls the per-step slice refresh: 0
     leaves the slice fully persistent, 1 redraws it uniformly each step.
+    ``step_size`` must be positive and finite (``ValueError`` otherwise).
+    ``metric`` (``None``: the identity) is checked against the target at
+    every step (:func:`~mcbricks.integrator.check_metric`).
 
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: standard normals, which the
@@ -90,8 +93,7 @@ def build_kernel(
     key); an ensemble state raises the ``TypeError`` a key of the wrong form
     raises.
     """
-    if step_size <= 0.0:
-        raise ValueError("step size must be strictly positive")
+    _positive("step size", step_size)
     if not 0.0 <= persistence <= 1.0:
         raise ValueError("persistence must lie in [0, 1]")
     if not 0.0 <= slice_jitter <= 1.0:
@@ -99,7 +101,7 @@ def build_kernel(
     refresh_scale = math.sqrt(1.0 - persistence * persistence)
 
     def kernel(key: RngKey, state: GhmcState, target: Target) -> tuple[GhmcState, AcceptanceInfo]:
-        kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        kernel_metric = check_metric(metric, target.dim)
         if state.position.ndim != 1:
             raise TypeError(
                 f"kernel key must be an RngKey or a float64 row of {target.dim + 1} values for "
@@ -135,6 +137,5 @@ def as_algorithm(
     metric: Optional[Metric] = None,
     slice_jitter: float = 0.0,
 ) -> SamplingAlgorithm:
-    metric = metric if metric is not None else identity_metric(target.dim)
-    check_metric(metric, target.dim)
+    metric = identity_metric(target.dim) if metric is None else check_metric(metric, target.dim)
     return bind(target, init, build_kernel(step_size, persistence, metric, slice_jitter))

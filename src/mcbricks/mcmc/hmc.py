@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from ..core import AcceptanceInfo, GradientState, SamplingAlgorithm, Target, bind, init
+from ..core import AcceptanceInfo, GradientState, SamplingAlgorithm, Target, _positive, bind, init
 from ..integrator import (
     IntegratorState,
     Metric,
@@ -47,6 +47,10 @@ def build_kernel(
     blow up to non-finite values) are rejected outright and flagged; the
     reported ``p_accept`` still reflects the raw endpoint energies.
 
+    ``step_size`` must be positive and finite (``ValueError`` otherwise).
+    ``metric`` (``None``: the identity) is checked against the target at
+    every step (:func:`~mcbricks.integrator.check_metric`).
+
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: standard normals, which the
     kernel scales into a momentum under ``metric``, then the accept uniform.
@@ -54,8 +58,7 @@ def build_kernel(
     ``(n, 2)`` key array for an ensemble of ``n``;
     :func:`~mcbricks.integrator.kernel_draws` checks it against the state.
     """
-    if step_size <= 0.0:
-        raise ValueError("step size must be strictly positive")
+    _positive("step size", step_size)
     if not divergence_threshold > 0.0:
         raise ValueError("divergence threshold must be strictly positive")
     if num_integration_steps < 1:
@@ -70,7 +73,7 @@ def build_kernel(
         return accepted, AcceptanceInfo(p_accept, accepted, divergent, energy, num_integration_steps)
 
     def kernel(key: RngKey, state: GradientState, target: Target) -> tuple[GradientState, AcceptanceInfo]:
-        kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        kernel_metric = check_metric(metric, target.dim)
         draws = kernel_draws(key, state, target)
         momentum = scale_momentum(draws[..., :-1], kernel_metric)
         start = IntegratorState(state.position, momentum, state.logdensity, state.gradient)
@@ -91,8 +94,7 @@ def as_algorithm(
     metric: Optional[Metric] = None,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
-    metric = metric if metric is not None else identity_metric(target.dim)
-    check_metric(metric, target.dim)
+    metric = identity_metric(target.dim) if metric is None else check_metric(metric, target.dim)
     return bind(
         target, init, build_kernel(step_size, num_integration_steps, metric, divergence_threshold)
     )

@@ -26,6 +26,7 @@ from ..core import (
     GradientState,
     SamplingAlgorithm,
     Target,
+    _positive,
     _row_dot,
     bind,
     evaluate,
@@ -51,6 +52,8 @@ def build_kernel(
 ) -> Callable[[RngKey, GradientState, Target], tuple[GradientState, AcceptanceInfo]]:
     """Kernel proposing ``q' = q + eps * grad(q) + sqrt(2 eps) * z``.
 
+    ``step_size`` (eps) must be positive and finite (``ValueError`` otherwise).
+
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: the proposal normals, then
     the accept uniform.
@@ -58,8 +61,7 @@ def build_kernel(
     ``(n, 2)`` key array for an ensemble of ``n``;
     :func:`~mcbricks.integrator.kernel_draws` checks it against the state.
     """
-    if step_size <= 0.0:
-        raise ValueError("step size must be strictly positive")
+    _positive("step size", step_size)
     noise_scale = math.sqrt(2.0 * step_size)
 
     def decide(u, old, new, finite_gradient, log_q_reverse, log_q_forward):

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ..core import GradientState, SamplingAlgorithm, Target, bind, evaluate, init
+from ..core import GradientState, SamplingAlgorithm, Target, _positive, bind, evaluate, init
 from ..integrator import (
     Metric,
     _kinetic_energy,
@@ -308,13 +308,16 @@ def build_kernel(
     averaging consumes.  A step that encounters a divergence returns the
     initial state with ``is_divergent`` set.
 
+    ``step_size`` must be positive and finite (``ValueError`` otherwise).
+    ``metric`` (``None``: the identity) is checked against the target at
+    every step (:func:`~mcbricks.integrator.check_metric`).
+
     ``kernel.draw`` is the draw atom (:func:`_draw_atom`).  The kernel
     moves under a :class:`NutsDraw` record, or under an ``RngKey``, which
     it draws its record for; the record holds no metric, so one atom serves
     every step size and metric.
     """
-    if step_size <= 0.0:
-        raise ValueError("step size must be strictly positive")
+    _positive("step size", step_size)
     if not divergence_threshold > 0.0:
         raise ValueError("divergence threshold must be strictly positive")
     if max_depth < 0:
@@ -325,7 +328,7 @@ def build_kernel(
     def kernel(
         key: Union[RngKey, NutsDraw], state: GradientState, target: Target
     ) -> tuple[GradientState, NutsInfo]:
-        kernel_metric = metric if metric is not None else identity_metric(target.dim)
+        kernel_metric = check_metric(metric, target.dim)
         if isinstance(key, NutsDraw):
             record = key
         elif isinstance(key, RngKey):
@@ -381,6 +384,5 @@ def as_algorithm(
     max_depth: int = DEFAULT_MAX_DEPTH,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> SamplingAlgorithm:
-    metric = metric if metric is not None else identity_metric(target.dim)
-    check_metric(metric, target.dim)
+    metric = identity_metric(target.dim) if metric is None else check_metric(metric, target.dim)
     return bind(target, init, build_kernel(step_size, metric, max_depth, divergence_threshold))

@@ -36,8 +36,9 @@ def build_kernel(
 ) -> Callable[[RngKey, RwmState, Target], tuple[RwmState, AcceptanceInfo]]:
     """Kernel proposing ``q' = q + scale * z`` with standard-normal z.
 
-    ``proposal_scale`` is a positive scalar or a positive per-coordinate
-    vector (diagonal preconditioning).
+    ``proposal_scale`` is a positive finite scalar or a per-coordinate
+    vector of them (diagonal preconditioning); any other raises
+    ``ValueError``.
 
     ``kernel.draw`` is the shared draw atom
     :func:`~mcbricks.integrator.momentum_draw`: the proposal normals, then
@@ -47,8 +48,8 @@ def build_kernel(
     :func:`~mcbricks.integrator.kernel_draws` checks it against the state.
     """
     scale = np.asarray(proposal_scale, dtype=float)
-    if not np.all(scale > 0.0):
-        raise ValueError("proposal scale must be strictly positive")
+    if not np.all((scale > 0.0) & np.isfinite(scale)):
+        raise ValueError(f"proposal scale must be positive and finite, not {proposal_scale!r}")
 
     def decide(u: float, old: float, new: float) -> tuple[bool, AcceptanceInfo]:
         accepted, p_accept = binomial_decision(u, safe_energy_diff(-old, -new))

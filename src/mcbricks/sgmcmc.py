@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import SamplingAlgorithm
+from .core import SamplingAlgorithm, _positive
 from .rng import RngKey, normal_vector, permutation, split_key
 
 __all__ = [
@@ -111,10 +111,10 @@ def sgld_step(
     """One stochastic-gradient Langevin step.
 
     ``q' = q + (eps/2) * grad_estimate + sqrt(eps) * z`` with a fresh
-    minibatch drawn without replacement; no accept/reject.
+    minibatch drawn without replacement; no accept/reject.  ``step_size``
+    must be positive and finite (``ValueError`` otherwise).
     """
-    if step_size <= 0.0:
-        raise ValueError("step size must be strictly positive")
+    _positive("step size", step_size)
     key_batch, key_noise, key_estimate = split_key(key, 3)
     batch = sample_batch(key_batch, estimator)
     gradient = np.asarray(estimator.estimate(key_estimate, state.position, batch), dtype=float)
@@ -142,9 +142,9 @@ def sghmc_step(
     ``q' = q + v`` then ``v' = (1 - friction) * v + eps * grad_estimate(q')
     + sqrt(2 * friction * eps) * z``; the noise scale balances the friction
     at stationarity when the gradient noise itself is neglected.
+    ``step_size`` must be positive and finite (``ValueError`` otherwise).
     """
-    if step_size <= 0.0:
-        raise ValueError("step size must be strictly positive")
+    _positive("step size", step_size)
     if not 0.0 < friction <= 1.0:
         raise ValueError("friction must lie in (0, 1]")
     key_batch, key_noise, key_estimate = split_key(key, 3)

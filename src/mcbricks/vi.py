@@ -27,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import ApproxAlgorithm, Target, _ordered_sum, evaluate_rows
+from .core import ApproxAlgorithm, Target, _ordered_sum, _positive, evaluate_rows
 from .rng import RngKey, normal_matrix, normal_rows
 
 __all__ = [
@@ -75,9 +75,8 @@ class Optimizer(NamedTuple):
 
 
 def sgd(learning_rate: float) -> Optimizer:
-    """Plain gradient ascent with a constant learning rate."""
-    if learning_rate <= 0.0:
-        raise ValueError("learning rate must be strictly positive")
+    """Plain gradient ascent with a constant, positive and finite learning rate."""
+    _positive("learning rate", learning_rate)
 
     def update(gradient: np.ndarray, opt_state: Any, params: np.ndarray):
         return params + learning_rate * gradient, opt_state
@@ -97,9 +96,11 @@ def adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> Optimizer:
-    """Adam with bias correction, in ascent orientation."""
-    if learning_rate <= 0.0:
-        raise ValueError("learning rate must be strictly positive")
+    """Adam with bias correction, in ascent orientation.
+
+    ``learning_rate`` must be positive and finite (``ValueError`` otherwise).
+    """
+    _positive("learning rate", learning_rate)
 
     def init(params: np.ndarray) -> AdamState:
         zeros = np.zeros_like(np.asarray(params, dtype=float))
@@ -127,7 +128,10 @@ def meanfield_init(position: np.ndarray, optimizer: Optimizer) -> MeanFieldState
 
 def _draws(key: Any, state: MeanFieldState, num_samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # ``key`` is an RngKey, or the float64 (num_samples, dim) noise already
-    # drawn from one, which is used as it is.
+    # drawn from one, which is used as it is.  The one check of the count
+    # for elbo_estimate, vi_step and vi_sample.
+    if num_samples < 1:
+        raise ValueError("need at least one sample")
     sigma = np.exp(state.log_sigma)
     dim = state.mu.shape[0]
     if not isinstance(key, np.ndarray):
@@ -162,8 +166,6 @@ def elbo_estimate(
     ``num_samples`` reparameterized draws, evaluated by
     :func:`~mcbricks.core.evaluate_rows`.
     """
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
     draws, _, _ = _draws(key, state, num_samples)
     return _elbo(evaluate_rows(draws, target.logdensity)[0], state.log_sigma)
 
@@ -185,8 +187,6 @@ def vi_step(
     and gradients come from :func:`~mcbricks.core.evaluate_rows`, and the
     info carries the ELBO estimate of the same draws.
     """
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
     draws, xi, sigma = _draws(key, state, num_samples)
     logdensities, gradients = evaluate_rows(draws, target.logdensity, target.gradient)
     dim = state.mu.shape[0]
@@ -202,8 +202,6 @@ def vi_step(
 
 def vi_sample(key: RngKey, state: MeanFieldState, num_samples: int) -> np.ndarray:
     """Draw ``num_samples`` rows ``mu + sigma * xi`` from the approximation."""
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
     draws, _, _ = _draws(key, state, num_samples)
     return draws
 

@@ -653,6 +653,56 @@ def test_a_sampling_setting_rejected_while_building_exits_2(tmp_path, capsys, ar
     assert not out_dir.exists()
 
 
+# A step size, proposal scale or learning rate that is NaN or infinite is
+# rejected where the kernel, mutation or optimizer is built, as a flag or
+# from a config file: (command line without the setting, the setting's flag).
+_NON_FINITE_SETTINGS = [
+    *((["run", "--algorithm", name], "--step-size") for name in ("mala", "ghmc", "hmc", "nuts")),
+    *((["run-smc", "--mutation", name], "--step-size") for name in ("mala", "hmc")),
+    (["run", "--algorithm", "rwm"], "--proposal-scale"),
+    (["run-smc", "--mutation", "rwm"], "--proposal-scale"),
+    *((["run-vi", "--optimizer", name], "--learning-rate") for name in ("adam", "sgd")),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", _NON_FINITE_SETTINGS,
+                         ids=lambda case: " ".join(case) if isinstance(case, list) else case)
+def test_a_non_finite_step_scale_or_rate_exits_2_at_build(tmp_path, capsys, argv, flag, value,
+                                                         source):
+    if source == "flag":
+        argv = argv + [f"{flag}={value}"]
+    else:
+        config = tmp_path / "settings.cfg"
+        config.write_text(f"{flag[2:]} = {value}\n")
+        argv = argv + ["--config", str(config)]
+    code, out_dir = _run_cli(tmp_path, "never_written", argv + ["--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    setting = flag[2:].replace("-", " ")
+    assert err == f"error: {setting} must be positive and finite, not {value}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, flag, minimum, value", [
+    (["run"], "--num-samples", 4, "3"),
+    (["run"], "--num-chains", 1, "0"),
+    (["run"], "--num-warmup", 0, "-1"),
+    (["run"], "--chain-workers", 1, "-2"),
+    (["run-smc"], "--num-particles", 4, "0"),
+    (["run-vi"], "--num-steps", 1, "0"),
+    (["run-vi"], "--num-draws", 4, "-5"),
+], ids=lambda case: case if isinstance(case, str) else None)
+def test_every_count_below_its_minimum_exits_2_with_one_message(tmp_path, capsys, argv, flag,
+                                                                 minimum, value):
+    code, out_dir = _run_cli(tmp_path, "never_written", argv + [f"{flag}={value}", "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least {minimum}, not {value}\n"
+    assert not out_dir.exists()
+
+
 # Runs whose trajectories overflow (steps far past stability, or no energy
 # bound on a NUTS tree in the funnel's neck); the kernels absorb the
 # non-finite values as rejections or divergences, without a word.

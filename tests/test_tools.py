@@ -15,6 +15,7 @@ def _load(name):
 
 
 compare_outputs = _load("compare_outputs")
+code_lines = _load("code_lines")
 
 
 def _write_outputs(directory, summary, samples):
@@ -54,3 +55,24 @@ def test_compare_outputs_reads_every_benchmark_workload():
     assert len(labels) == 4 + sum(map(len, compare_outputs.EXTRA_SEEDS.values())) + len(
         compare_outputs.EXTRA_LINES
     )
+
+
+def test_code_lines_compares_two_packages_module_by_module(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "sub").mkdir(parents=True)
+    (old / "kept.py").write_text('"""Doc."""\n\nx = 1\n# note\ny = 2\n')
+    (new / "kept.py").write_text('"""Doc."""\n\nx = 1\n')
+    (old / "sub" / "gone.py").write_text("a = 1\nb = 2\n")
+    (new / "sub" / "added.py").write_text("def f():\n    \"\"\"Doc.\"\"\"\n    return 3\n")
+    assert code_lines.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     2      1     -1  kept.py",
+        "     0      2     +2  sub/added.py",
+        "     2      0     -2  sub/gone.py",
+        "     4      3     -1  total",
+    ]
+    assert code_lines.main([str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     1  kept.py", "     2  sub/added.py", "     3  total",
+    ]

@@ -5,6 +5,11 @@ blank, hold only comments, or belong to a module, class or function
 docstring (found with ``ast``) are not counted.  Standard library only.
 
 Usage: python tools/code_lines.py [package_dir]   (default: src/mcbricks)
+       python tools/code_lines.py OLD_PKG NEW_PKG
+
+With two packages, each module's old and new counts are printed with their
+difference, then the totals; a module present in one package only counts 0
+in the other.
 """
 
 from __future__ import annotations
@@ -41,14 +46,27 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def package_counts(root: Path) -> dict[str, int]:
+    """The code lines of every module under ``root``, keyed by its path relative to ``root``."""
+    return {
+        path.relative_to(root).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/mcbricks")
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    if len(argv) == 2:
+        old, new = map(package_counts, map(Path, argv))
+        for module in sorted(old.keys() | new.keys()):
+            before, after = old.get(module, 0), new.get(module, 0)
+            print(f"{before:6d} {after:6d} {after - before:+6d}  {module}")
+        before, after = sum(old.values()), sum(new.values())
+        print(f"{before:6d} {after:6d} {after - before:+6d}  total")
+        return 0
+    counts = package_counts(Path(argv[0] if argv else "src/mcbricks"))
+    for module, count in counts.items():
+        print(f"{count:6d}  {module}")
+    print(f"{sum(counts.values()):6d}  total")
     return 0
 
 
